@@ -1,9 +1,8 @@
 #include "compiler/gru_executor.hpp"
 
-#include <cmath>
-
 #include <algorithm>
 
+#include "compiler/gru_gates.hpp"
 #include "hw/timer.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -117,37 +116,21 @@ void CompiledSpeechModel::step_layer(const CompiledLayer& layer,
                                      std::span<float> h_out,
                                      StepScratch& scratch,
                                      ThreadPool* pool) const {
-  const std::size_t hidden = config_.hidden_dim;
   const std::span<float> scratch_a = scratch.a.span();
   const std::span<float> scratch_b = scratch.b.span();
   const std::span<float> scratch_c = scratch.c.span();
   const std::span<float> scratch_d = scratch.d.span();
-  RT_ASSERT(scratch_a.size() == hidden, "scratch buffers must be hidden-sized");
-
-  // z = sigmoid(W_z x + U_z h + b_z)  (scratch_a holds z)
+  // scratch_a/scratch_c take W_z x / W_r x and leave holding z / r . h.
   layer.w_z.execute(x, scratch_a, pool, &scratch.lre);
   layer.u_z.execute(h_prev, scratch_b, pool, &scratch.lre);
-  for (std::size_t i = 0; i < hidden; ++i) {
-    scratch_a[i] = sigmoid(scratch_a[i] + scratch_b[i] + layer.b_z[i]);
-  }
-  // r = sigmoid(W_r x + U_r h + b_r)  (scratch_b holds r . h_prev)
-  layer.w_r.execute(x, scratch_b, pool, &scratch.lre);
-  layer.u_r.execute(h_prev, scratch_c, pool, &scratch.lre);
-  for (std::size_t i = 0; i < hidden; ++i) {
-    const float r = sigmoid(scratch_b[i] + scratch_c[i] + layer.b_r[i]);
-    scratch_b[i] = r * h_prev[i];
-  }
-  // h~ = tanh(W_h x + U_h (r . h) + b_h)  (scratch_c holds h~)
-  layer.w_h.execute(x, scratch_c, pool, &scratch.lre);
-  layer.u_h.execute(scratch_b, scratch_d, pool, &scratch.lre);
-  for (std::size_t i = 0; i < hidden; ++i) {
-    scratch_c[i] = std::tanh(scratch_c[i] + scratch_d[i] + layer.b_h[i]);
-  }
-  // h = (1 - z) h_prev + z h~
-  for (std::size_t i = 0; i < hidden; ++i) {
-    h_out[i] = (1.0F - scratch_a[i]) * h_prev[i] +
-               scratch_a[i] * scratch_c[i];
-  }
+  layer.w_r.execute(x, scratch_c, pool, &scratch.lre);
+  layer.u_r.execute(h_prev, scratch_d, pool, &scratch.lre);
+  gru_update_reset_row(scratch_a, scratch_b, layer.b_z.span(), scratch_c,
+                       scratch_d, layer.b_r.span(), h_prev);
+  layer.w_h.execute(x, scratch_b, pool, &scratch.lre);
+  layer.u_h.execute(scratch_c, scratch_d, pool, &scratch.lre);
+  gru_candidate_blend_row(scratch_a, scratch_b, scratch_d, layer.b_h.span(),
+                          h_prev, h_out);
 }
 
 void CompiledSpeechModel::step_stream(std::span<const float> frame,
@@ -218,10 +201,9 @@ StepResult CompiledSpeechModel::step_batch_fused(
   const std::size_t hidden = config_.hidden_dim;
   FusedScratch& fs = *fused_;
 
-  // The gate elementwise passes are per-(stream, unit) independent, so
-  // partitioning them across the pool cannot change any stream's
-  // arithmetic; each stream's loop body is textually the per-stream
-  // step_layer's, preserving bitwise identity.
+  // The gate epilogue is per-(stream, unit) independent, so partitioning
+  // it across the pool cannot change any stream's arithmetic; each
+  // stream row goes through the same row kernels as step_layer.
   const auto for_streams = [&](auto&& fn) {
     if (pool_ != nullptr && batch > 1) {
       pool_->parallel_for(batch, [&](std::size_t begin, std::size_t end) {
@@ -237,78 +219,52 @@ StepResult CompiledSpeechModel::step_batch_fused(
   Matrix* out_prev = &fs.out1;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const CompiledLayer& layer = layers_[l];
+    const QuantizedActivations* xqp = nullptr;
+    const QuantizedActivations* hqp = nullptr;
+    const QuantizedActivations* gqp = nullptr;
+    if (fused_q8_acts_) {
+      fs.xq.resize(batch, x->cols());
+      fs.hq.resize(batch, hidden);
+      fs.gq.resize(batch, hidden);
+      xqp = &fs.xq;
+      hqp = &fs.hq;
+      gqp = &fs.gq;
+    }
     // Gather this layer's recurrent states into one contiguous panel.
     // Panel row b is stream b of `states` — the caller's scheduler-
     // gather order, pinned as part of the step_batch contract.
     for_streams([&](std::size_t b) {
       const std::span<const float> h_prev = states[b]->h[l].span();
       std::copy(h_prev.begin(), h_prev.end(), fs.h.row(b).begin());
-    });
-    const QuantizedActivations* xqp = nullptr;
-    const QuantizedActivations* hqp = nullptr;
-    if (fused_q8_acts_) {
-      fs.xq.resize(batch, x->cols());
-      fs.hq.resize(batch, hidden);
-      for_streams([&](std::size_t b) {
+      if (fused_q8_acts_) {
         fs.xq.quantize_row(b, x->row(b));
         fs.hq.quantize_row(b, fs.h.row(b));
-      });
+      }
+    });
+    if (fused_q8_acts_) {
       fs.xq.transpose(batch);
       fs.hq.transpose(batch);
-      xqp = &fs.xq;
-      hqp = &fs.hq;
     }
 
-    // z = sigmoid(W_z x + U_z h + b_z)  (panel A holds z)
+    // Panels A/C take W_z x / W_r x and leave holding z / r . h_prev.
     layer.w_z.execute_batch(*x, fs.a, batch, pool_, &fs.lre, xqp);
     layer.u_z.execute_batch(fs.h, fs.b, batch, pool_, &fs.lre, hqp);
+    layer.w_r.execute_batch(*x, fs.c, batch, pool_, &fs.lre, xqp);
+    layer.u_r.execute_batch(fs.h, fs.d, batch, pool_, &fs.lre, hqp);
     for_streams([&](std::size_t b) {
-      const std::span<float> scratch_a = fs.a.row(b);
-      const std::span<const float> scratch_b = fs.b.row(b);
-      for (std::size_t i = 0; i < hidden; ++i) {
-        scratch_a[i] = sigmoid(scratch_a[i] + scratch_b[i] + layer.b_z[i]);
-      }
+      gru_update_reset_row(fs.a.row(b), fs.b.row(b), layer.b_z.span(),
+                           fs.c.row(b), fs.d.row(b), layer.b_r.span(),
+                           fs.h.row(b));
+      if (fused_q8_acts_) fs.gq.quantize_row(b, fs.c.row(b));
     });
-    // r = sigmoid(W_r x + U_r h + b_r)  (panel B holds r . h_prev)
-    layer.w_r.execute_batch(*x, fs.b, batch, pool_, &fs.lre, xqp);
-    layer.u_r.execute_batch(fs.h, fs.c, batch, pool_, &fs.lre, hqp);
-    for_streams([&](std::size_t b) {
-      const std::span<float> scratch_b = fs.b.row(b);
-      const std::span<const float> scratch_c = fs.c.row(b);
-      const std::span<const float> h_prev = fs.h.row(b);
-      for (std::size_t i = 0; i < hidden; ++i) {
-        const float r = sigmoid(scratch_b[i] + scratch_c[i] + layer.b_r[i]);
-        scratch_b[i] = r * h_prev[i];
-      }
-    });
-    const QuantizedActivations* gqp = nullptr;
-    if (fused_q8_acts_) {
-      fs.gq.resize(batch, hidden);
-      for_streams(
-          [&](std::size_t b) { fs.gq.quantize_row(b, fs.b.row(b)); });
-      fs.gq.transpose(batch);
-      gqp = &fs.gq;
-    }
-    // h~ = tanh(W_h x + U_h (r . h) + b_h)  (panel C holds h~)
-    layer.w_h.execute_batch(*x, fs.c, batch, pool_, &fs.lre, xqp);
-    layer.u_h.execute_batch(fs.b, fs.d, batch, pool_, &fs.lre, gqp);
-    for_streams([&](std::size_t b) {
-      const std::span<float> scratch_c = fs.c.row(b);
-      const std::span<const float> scratch_d = fs.d.row(b);
-      for (std::size_t i = 0; i < hidden; ++i) {
-        scratch_c[i] = std::tanh(scratch_c[i] + scratch_d[i] + layer.b_h[i]);
-      }
-    });
+    if (fused_q8_acts_) fs.gq.transpose(batch);
+    layer.w_h.execute_batch(*x, fs.b, batch, pool_, &fs.lre, xqp);
+    layer.u_h.execute_batch(fs.c, fs.d, batch, pool_, &fs.lre, gqp);
     // h = (1 - z) h_prev + z h~, scattered straight back to the states.
     for_streams([&](std::size_t b) {
-      const std::span<const float> scratch_a = fs.a.row(b);
-      const std::span<const float> scratch_c = fs.c.row(b);
-      const std::span<const float> h_prev = fs.h.row(b);
       const std::span<float> h_out = out->row(b);
-      for (std::size_t i = 0; i < hidden; ++i) {
-        h_out[i] = (1.0F - scratch_a[i]) * h_prev[i] +
-                   scratch_a[i] * scratch_c[i];
-      }
+      gru_candidate_blend_row(fs.a.row(b), fs.b.row(b), fs.d.row(b),
+                              layer.b_h.span(), fs.h.row(b), h_out);
       std::copy(h_out.begin(), h_out.end(), states[b]->h[l].span().begin());
     });
     x = out;

@@ -167,8 +167,9 @@ class CompiledSpeechModel {
   [[nodiscard]] bool use_fused(std::size_t batch) const;
 
   /// The fused batched step: per layer, gather hidden panels, drive each
-  /// weight matrix once over the whole batch, run the gate elementwise
-  /// passes per stream, scatter the new hidden states back.
+  /// weight matrix once over the whole batch, run each stream row through
+  /// the same gate kernels as step_layer (compiler/gru_gates.hpp),
+  /// scatter the new hidden states back.
   StepResult step_batch_fused(const Matrix& features,
                               std::span<StreamState* const> states,
                               Matrix& logits) const;

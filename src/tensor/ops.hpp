@@ -1,8 +1,15 @@
 // Elementwise vector operations and activations used by the RNN cells,
 // the training stack, and the speech front end.
 //
-// All functions take spans (I.13) and require matching sizes; kernels are
-// written as plain loops that GCC/Clang auto-vectorize at -O3.
+// All functions take spans (I.13) and require matching sizes. At -O3 GCC
+// vectorizes only the elementwise arithmetic (add, sub, mul, axpy, scale,
+// and the last pass of softmax/log_softmax). sigmoid, tanh and the
+// softmax exponentials call scalar libm; the double-accumulated
+// reductions (dot, norm2, sum) and max scans stay scalar because
+// vectorizing them would reorder float operations. The compiled
+// inference path has its own vectorized gate activations
+// (compiler/gru_gates.hpp); these libm versions are the training
+// reference it is tested against.
 #pragma once
 
 #include <span>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -55,26 +56,34 @@ void QuantizedActivations::resize(std::size_t new_batch,
 
 void QuantizedActivations::quantize_row(std::size_t b,
                                         std::span<const float> x) {
-  float max_abs = 0.0F;
-  for (const float v : x) max_abs = std::max(max_abs, std::fabs(v));
-  const float s = max_abs / kInt8CodeLimit;
-  scale[b] = s;
+  // max|x| over the sign-cleared bit patterns: for non-negative floats
+  // integer order is float order, so this is exact, and unlike a float
+  // max (whose NaN rules block reassociation) the reduction vectorizes.
+  constexpr std::int32_t kAbsMask = std::numeric_limits<std::int32_t>::max();
+  std::int32_t max_bits = 0;
+  for (const float v : x) {
+    max_bits = std::max(max_bits, std::bit_cast<std::int32_t>(v) & kAbsMask);
+  }
+  const float max_abs = std::bit_cast<float>(max_bits);
+  scale[b] = max_abs / kInt8CodeLimit;
   std::int8_t* out = codes.data() + b * dim;
-  if (s == 0.0F) {
+  const float inv = kInt8CodeLimit / max_abs;
+  // An all-zero row, or a max so small that its reciprocal overflows
+  // (max|x| < 127 / FLT_MAX, which includes every zero scale), leaves no
+  // code but 0.
+  if (std::isinf(inv)) {
     std::fill(out, out + x.size(), std::int8_t{0});
     return;
   }
-  // Branchless round-half-away-from-zero via copysign(0.5) + truncation,
-  // with the code grid hit by one reciprocal multiply — the loop
-  // auto-vectorizes, which matters because the fused step re-quantizes
-  // every activation panel each timestep. Clamping first keeps the
-  // truncating cast in range even when max_abs * inv rounds above 127.
-  const float inv = kInt8CodeLimit / max_abs;
+  // Round half away from zero (copysign(0.5) + truncation) on the code
+  // grid, then clamp the integer: |x * inv| can round a hair above 127,
+  // and clamping the int32 gives the same codes as clamping the float
+  // first while keeping the loop branch-free, so it vectorizes.
+  constexpr auto kLimit = static_cast<std::int32_t>(kInt8CodeLimit);
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const float v =
-        std::min(std::max(x[i] * inv, -kInt8CodeLimit), kInt8CodeLimit);
-    out[i] = static_cast<std::int8_t>(
-        static_cast<std::int32_t>(v + std::copysign(0.5F, v)));
+    const float v = x[i] * inv;
+    const auto code = static_cast<std::int32_t>(v + std::copysign(0.5F, v));
+    out[i] = static_cast<std::int8_t>(std::clamp(code, -kLimit, kLimit));
   }
 }
 

@@ -116,9 +116,10 @@ struct QuantizedActivations {
   /// each row.
   void resize(std::size_t new_batch, std::size_t new_dim);
 
-  /// Quantizes one stream's activation vector (x.size() == dim) into row
-  /// b: scale[b] = max|x| / 127, codes = round(x * 127 / max|x|) clamped
-  /// to the grid (half away from zero). Element-wise exact arithmetic —
+  /// Quantizes one stream's finite activation vector (x.size() == dim)
+  /// into row b: scale[b] = max|x| / 127, codes = round(x * 127 / max|x|)
+  /// clamped to the grid (half away from zero); all-zero codes when
+  /// max|x| < 127 / FLT_MAX. Element-wise exact arithmetic —
   /// deterministic and identical on every build, vectorized or not.
   void quantize_row(std::size_t b, std::span<const float> x);
 

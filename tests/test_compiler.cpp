@@ -2,12 +2,17 @@
 // formats/threads, the compiled GRU executor, and the auto-tuner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "compiler/auto_tuner.hpp"
 #include "compiler/execution_plan.hpp"
 #include "compiler/gru_executor.hpp"
+#include "compiler/gru_gates.hpp"
 #include "compiler/reorder.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
@@ -254,6 +259,90 @@ TEST(CompiledModel, RunRecurrenceExecutes) {
   const CompiledSpeechModel compiled(model, {}, options);
   EXPECT_NO_THROW(compiled.run_recurrence(10));
   EXPECT_THROW(compiled.run_recurrence(0), std::invalid_argument);
+}
+
+// ---------------------------------------------------------- gate kernels
+// The compiled path's gate activations are rational approximations; the
+// training reference keeps libm. Both the scalar functions and the
+// vectorized row kernels must stay within 1e-6 of libm.
+constexpr int kGateSweepSteps = 4'000'000;  // [-20, 20] in steps of 1e-5
+
+float gate_sweep_point(int i) {
+  return -20.0F + 40.0F * static_cast<float>(i) / kGateSweepSteps;
+}
+
+double abs_error(float approx, double exact) {
+  return std::fabs(static_cast<double>(approx) - exact);
+}
+
+TEST(GruGates, ScalarActivationsStayWithinOneMicroOfLibm) {
+  double worst_tanh = 0.0;
+  double worst_sigmoid = 0.0;
+  for (int i = 0; i <= kGateSweepSteps; ++i) {
+    const float x = gate_sweep_point(i);
+    worst_tanh = std::max(worst_tanh, abs_error(gate_tanh(x), std::tanh(x)));
+    worst_sigmoid =
+        std::max(worst_sigmoid, abs_error(gate_sigmoid(x), sigmoid(x)));
+  }
+  EXPECT_LE(worst_tanh, 1e-6);
+  EXPECT_LE(worst_sigmoid, 1e-6);
+}
+
+TEST(GruGates, ScalarActivationLimitsAndNaN) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(gate_tanh(inf), 1.0F);
+  EXPECT_EQ(gate_tanh(-inf), -1.0F);
+  EXPECT_EQ(gate_sigmoid(inf), 1.0F);
+  EXPECT_EQ(gate_sigmoid(-inf), 0.0F);
+  EXPECT_TRUE(std::isnan(gate_tanh(nan)));
+  EXPECT_TRUE(std::isnan(gate_tanh(-nan)));
+  EXPECT_TRUE(std::isnan(gate_sigmoid(nan)));
+  EXPECT_TRUE(std::isnan(gate_sigmoid(-nan)));
+  EXPECT_EQ(gate_tanh(0.0F), 0.0F);
+  EXPECT_TRUE(std::signbit(gate_tanh(-0.0F)));
+}
+
+TEST(GruGates, RowKernelsMatchLibmAndKeepLimits) {
+  // Zero recurrent terms and biases reduce the row kernels to plain
+  // activations: z = sigmoid(x), r . h = sigmoid(x) with h = 1, and with
+  // z = 1 the blend returns tanh(x). The specials sit at odd offsets so
+  // they land in vector lanes and in the scalar tail.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> x;
+  for (int i = 0; i <= kGateSweepSteps; i += 7) {
+    x.push_back(gate_sweep_point(i));
+  }
+  const std::size_t specials = x.size();
+  for (const float v : {inf, -inf, nan, 0.0F, inf, -inf, nan}) x.push_back(v);
+  const std::size_t n = x.size();
+  const std::vector<float> zeros(n, 0.0F);
+  const std::vector<float> ones(n, 1.0F);
+
+  std::vector<float> z = x;
+  std::vector<float> r = x;
+  gru_update_reset_row(z, zeros, zeros, r, zeros, zeros, ones);
+  std::vector<float> h(n);
+  gru_candidate_blend_row(ones, x, zeros, zeros, zeros, h);
+
+  double worst_sigmoid = 0.0;
+  double worst_tanh = 0.0;
+  for (std::size_t i = 0; i < specials; ++i) {
+    worst_sigmoid = std::max(worst_sigmoid, abs_error(z[i], sigmoid(x[i])));
+    EXPECT_EQ(r[i], z[i]);
+    worst_tanh = std::max(worst_tanh, abs_error(h[i], std::tanh(x[i])));
+  }
+  EXPECT_LE(worst_sigmoid, 1e-6);
+  EXPECT_LE(worst_tanh, 1e-6);
+  for (std::size_t i = specials; i < n; ++i) {
+    if (std::isnan(x[i])) {
+      EXPECT_TRUE(std::isnan(z[i]) && std::isnan(r[i]) && std::isnan(h[i]));
+    } else {
+      EXPECT_EQ(z[i], x[i] > 0.0F ? 1.0F : (x[i] < 0.0F ? 0.0F : 0.5F));
+      EXPECT_EQ(h[i], x[i] > 0.0F ? 1.0F : (x[i] < 0.0F ? -1.0F : 0.0F));
+    }
+  }
 }
 
 // ------------------------------------------------------------ auto-tuner

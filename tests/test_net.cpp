@@ -6,6 +6,7 @@
 // same audio — the transport adds delivery, never interpretation.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "compiler/gru_executor.hpp"
+#include "fault/fault_injector.hpp"
 #include "net/recognizer_server.hpp"
 #include "net/wire_client.hpp"
 #include "net/wire_protocol.hpp"
@@ -578,11 +580,10 @@ TEST(NetServer, ProtocolViolationsGetTypedErrors) {
 }
 
 TEST(NetServer, IngressBackpressurePausesReadsAndLosesNothing) {
-  // A sharded engine with a tiny ingress ring backpressures almost
-  // immediately under a flood. The server must park the rejected chunk,
-  // pause the connection (TCP pushes back), retry until the pumps catch
-  // up — and the stream must still decode exactly right (no loss, no
-  // reorder, no duplicate).
+  // A sharded engine with a tiny ingress ring backpressures under a
+  // flood. The server must park the rejected chunk, pause the connection
+  // (TCP pushes back), retry until the pump catches up — and the stream
+  // must still decode exactly right (no loss, no reorder, no duplicate).
   const ServeFixture f = make_fixture(16, 904);
   serve::ShardConfig shard_config;
   shard_config.shards = 1;
@@ -592,6 +593,11 @@ TEST(NetServer, IngressBackpressurePausesReadsAndLosesNothing) {
   const StreamConfig config;
   const auto expected = direct_events(reference, waves, config, 400);
 
+  // Whether an unaided flood outruns the pump depends on how fast the
+  // pump steps; a one-shot stall armed after OPEN holds the pump while
+  // the flood arrives, so the 4-slot ring always fills.
+  fault::FaultInjector injector;
+  shard_config.engine.fault = &injector;
   serve::ShardedEngine served(*f.model, f.masks, f.options, shard_config);
   served.start();
   obs::Telemetry telemetry;
@@ -605,6 +611,10 @@ TEST(NetServer, IngressBackpressurePausesReadsAndLosesNothing) {
   client.connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.open(OpenRequest::from_stream_config(config))
                   .has_value());
+  fault::FaultSpec stall;
+  stall.trigger = fault::Trigger::one_shot();
+  stall.stall = std::chrono::milliseconds(200);
+  injector.arm(fault::Site::kPumpStall, stall);
   // Flood: small chunks maximize ring-full hits.
   std::size_t position = 0;
   while (position < waves[0].size()) {
@@ -625,6 +635,7 @@ TEST(NetServer, IngressBackpressurePausesReadsAndLosesNothing) {
   // the previously invisible backpressure event is now countable.
   EXPECT_GE(telemetry.net().ingress_pauses->value(), 1U);
   EXPECT_EQ(telemetry.net().slow_consumer_drops->value(), 0U);
+  EXPECT_EQ(injector.fires(fault::Site::kPumpStall), 1U);
 }
 
 TEST(NetServer, SlowConsumerIsDroppedNotBuffered) {

@@ -1,14 +1,19 @@
 // Unit tests for src/tensor: containers, elementwise ops, GEMM/GEMV, I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "tensor/gemm.hpp"
 #include "tensor/io.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/precision.hpp"
 #include "util/rng.hpp"
 
 namespace rtmobile {
@@ -252,6 +257,107 @@ TEST(Io, RejectsBadMagicAndTruncation) {
   payload.resize(payload.size() / 2);
   std::stringstream truncated(payload);
   EXPECT_THROW(read_matrix(truncated), std::runtime_error);
+}
+
+// ------------------------------------------------- activation quantizer
+// Scalar reference quantizer: a float max, then clamp the scaled float
+// before rounding. The vectorized quantize_row (an integer max over bit
+// patterns, round before clamp) must reproduce its codes and scales bit
+// for bit.
+void reference_quantize_row(std::span<const float> x,
+                            std::vector<std::int8_t>& codes, float& scale) {
+  float max_abs = 0.0F;
+  for (const float v : x) max_abs = std::max(max_abs, std::fabs(v));
+  scale = max_abs / kInt8CodeLimit;
+  codes.assign(x.size(), std::int8_t{0});
+  if (scale == 0.0F) return;
+  const float inv = kInt8CodeLimit / max_abs;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const float v =
+        std::min(std::max(x[i] * inv, -kInt8CodeLimit), kInt8CodeLimit);
+    codes[i] = static_cast<std::int8_t>(
+        static_cast<std::int32_t>(v + std::copysign(0.5F, v)));
+  }
+}
+
+void expect_quantize_matches_reference(const std::vector<float>& x,
+                                       const std::string& label) {
+  QuantizedActivations q;
+  q.resize(3, x.size());
+  q.quantize_row(1, x);  // a middle row: offsets must not leak
+  std::vector<std::int8_t> want;
+  float want_scale = 0.0F;
+  reference_quantize_row(x, want, want_scale);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(q.scale[1]),
+            std::bit_cast<std::uint32_t>(want_scale))
+      << label;
+  const std::int8_t* got = q.row(1);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << label << " element " << i << " x=" << x[i];
+  }
+}
+
+TEST(QuantizeRow, RandomRowsMatchReferenceBitwise) {
+  for (const std::size_t n : {1U, 7U, 39U, 153U, 1024U, 1031U}) {
+    for (const float stddev : {1e-3F, 1.0F, 250.0F}) {
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Rng rng(seed * 131 + n);
+        std::vector<float> x(n);
+        fill_normal(x, rng, stddev);
+        expect_quantize_matches_reference(
+            x, "n=" + std::to_string(n) + " sd=" + std::to_string(stddev) +
+                   " seed=" + std::to_string(seed));
+      }
+    }
+  }
+}
+
+TEST(QuantizeRow, ZeroRowGivesZeroScaleAndCodes) {
+  const std::vector<float> zeros(1024, 0.0F);
+  expect_quantize_matches_reference(zeros, "zeros");
+  QuantizedActivations q;
+  q.resize(1, zeros.size());
+  q.quantize_row(0, zeros);
+  EXPECT_EQ(q.scale[0], 0.0F);
+  for (std::size_t i = 0; i < zeros.size(); ++i) EXPECT_EQ(q.row(0)[i], 0);
+}
+
+TEST(QuantizeRow, SingleSignedMaxMatchesReference) {
+  for (const float peak : {3.5F, -3.5F, 1e-20F, -1e30F}) {
+    for (const std::size_t at : {0U, 5U, 1023U}) {
+      Rng rng(at + 17);
+      std::vector<float> x(1024);
+      fill_uniform(x, rng, std::fabs(peak) * 0.5F);
+      x[at] = peak;
+      expect_quantize_matches_reference(
+          x, "peak=" + std::to_string(peak) + " at=" + std::to_string(at));
+      // The lone maximum lands exactly on the grid's end.
+      QuantizedActivations q;
+      q.resize(1, x.size());
+      q.quantize_row(0, x);
+      EXPECT_EQ(q.row(0)[at], peak > 0.0F ? 127 : -127);
+    }
+  }
+}
+
+TEST(QuantizeRow, HalfCodeTiesRoundAwayFromZero) {
+  // With max|x| = 127 * 2^k the reciprocal scale is an exact power of
+  // two, so x = (k + 0.5) * scale lands exactly on a half-code tie.
+  for (const float scale : {1.0F, 0.125F, 4.0F}) {
+    std::vector<float> x;
+    for (int k = -127; k <= 126; ++k) {
+      x.push_back((static_cast<float>(k) + 0.5F) * scale);
+    }
+    x.push_back(127.0F * scale);
+    expect_quantize_matches_reference(x, "scale=" + std::to_string(scale));
+    QuantizedActivations q;
+    q.resize(1, x.size());
+    q.quantize_row(0, x);
+    for (std::size_t i = 0; i + 1 < x.size(); ++i) {
+      const int k = static_cast<int>(i) - 127;
+      EXPECT_EQ(q.row(0)[i], k >= 0 ? k + 1 : k) << "tie " << k << ".5";
+    }
+  }
 }
 
 }  // namespace
