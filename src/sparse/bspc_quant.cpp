@@ -19,6 +19,11 @@ std::int8_t quantize_code(float value, float scale) {
       std::clamp(q, -kInt8CodeLimit, kInt8CodeLimit));
 }
 
+/// Panel lane groups the q8 matmat interleaves `cols` columns into.
+std::size_t q8_lane_groups(std::size_t cols) {
+  return (cols + kQ8PanelCols - 1) / kQ8PanelCols;
+}
+
 }  // namespace
 
 PackedQuantizedBspc PackedQuantizedBspc::pack(const BspcMatrix& source,
@@ -95,6 +100,16 @@ PackedQuantizedBspc PackedQuantizedBspc::pack(const BspcMatrix& source,
   for_each_value([&](std::size_t v, std::uint32_t r) {
     out.q8_[v] = quantize_code(values[v], out.row_scale_[r]);
   });
+
+  // The q8 matmat's panel adds kQ8PanelOffset to every activation code;
+  // a row's share of that bias is kQ8PanelOffset * the sum of its codes
+  // (all in one stripe), which the kernel cancels exactly.
+  if constexpr (kQ8PanelOffset != 0) {
+    out.q8_offset_sum_.assign(out.rows_, 0);
+    for_each_value([&](std::size_t v, std::uint32_t r) {
+      out.q8_offset_sum_[r] += kQ8PanelOffset * out.q8_[v];
+    });
+  }
   return out;
 }
 
@@ -299,35 +314,43 @@ void PackedQuantizedBspc::spmm_stripe_list_q8(
   const std::size_t bp = (batch + 7) & ~std::size_t{7};
   RT_REQUIRE(x.padded_batch >= bp,
              "packed spmm q8: panel not transpose()d for this batch");
-  const std::size_t max_pairs = (max_block_cols_ + 1) / 2;
   // Scratch layout: the interleaved activation panel (one int32 lane =
-  // one stream's int16 code pair), then the stripe's int32 accumulators.
-  std::int16_t* panel = reinterpret_cast<std::int16_t*>(scratch.data());
-  std::int32_t* acc = scratch.data() + bp * max_pairs;
+  // one stream's kQ8PanelCols codes), then the stripe's int32
+  // accumulators.
+  std::int32_t* panel = scratch.data();
+  std::int32_t* acc = scratch.data() + bp * q8_lane_groups(max_block_cols_);
   for (const std::uint32_t s : stripes) {
     RT_REQUIRE(s < num_r_, "packed spmm q8: stripe index out of range");
     const std::size_t row_lo = stripe_row_ptr_[s];
     const std::size_t n_rows = stripe_row_ptr_[s + 1] - row_lo;
     if (n_rows == 0) continue;
-    std::fill(acc, acc + n_rows * bp, 0);
+    // Each row's accumulators start at minus its pack-time offset sum
+    // (none when the panel holds raw codes), so after the last block
+    // they hold the exact code-by-code sums.
+    for (std::size_t i = 0; i < n_rows; ++i) {
+      const std::uint32_t r = active_rows_[row_lo + i];
+      const std::int32_t bias = q8_offset_sum_.empty() ? 0 : q8_offset_sum_[r];
+      std::fill(acc + i * bp, acc + (i + 1) * bp, -bias);
+    }
     for (std::uint32_t bi = stripe_block_ptr_[s];
          bi < stripe_block_ptr_[s + 1]; ++bi) {
       const BspcMatrix::BlockRef& ref = blocks_[bi];
       const std::uint32_t* cols = col_pool_.data() + ref.col_offset;
-      const std::size_t pairs = (ref.col_count + 1) / 2;
       // Interleave once per block from the transposed activation panel:
-      // pair p's lane b holds the int16 code pair (x[b][cols[2p]],
-      // x[b][cols[2p+1]]). Columns are stream-contiguous, so each pair
-      // is two straight loads + byte interleave; pad lanes are already
-      // zero in tcodes and the odd tail column interleaves with null.
-      for (std::size_t p = 0; p < pairs; ++p) {
-        const bool has_hi = 2 * p + 1 < ref.col_count;
-        interleave_q8_pairs(x.col(cols[2 * p]),
-                            has_hi ? x.col(cols[2 * p + 1]) : nullptr, bp,
-                            panel + p * 2 * bp);
+      // lane group g's lane b holds stream b's codes of the block's
+      // columns [g * kQ8PanelCols, (g + 1) * kQ8PanelCols). Columns are
+      // stream-contiguous, so each group is straight loads + byte
+      // interleave; pad lanes are already zero in tcodes.
+      const std::size_t groups = q8_lane_groups(ref.col_count);
+      for (std::size_t g = 0; g < groups; ++g) {
+        const std::size_t k = g * kQ8PanelCols;
+        const std::size_t n = std::min(kQ8PanelCols, ref.col_count - k);
+        const std::int8_t* group[kQ8PanelCols] = {};
+        for (std::size_t j = 0; j < n; ++j) group[j] = x.col(cols[k + j]);
+        interleave_q8_panel(group, n, bp, panel + g * bp);
       }
-      madd_q8_block(q8_.data() + ref.value_offset, ref.col_count, n_rows,
-                    panel, bp, acc);
+      matmat_q8_block(q8_.data() + ref.value_offset, ref.col_count, n_rows,
+                      panel, bp, acc);
     }
     // One dequantization per (row, stream) for the whole stripe. Stream
     // outer so each stream's output row is written in ascending column
@@ -371,6 +394,11 @@ Matrix PackedQuantizedBspc::to_dense() const {
   return dense;
 }
 
+std::size_t PackedQuantizedBspc::q8_scratch_words(std::size_t batch) const {
+  const std::size_t bp = (batch + 7) & ~std::size_t{7};
+  return bp * (q8_lane_groups(max_block_cols_) + max_stripe_rows_);
+}
+
 std::size_t PackedQuantizedBspc::memory_bytes(std::size_t index_bytes) const {
   const std::size_t meta_bytes =
       blocks_.size() * (2 * index_bytes + sizeof(std::uint64_t)) +
@@ -382,6 +410,7 @@ std::size_t PackedQuantizedBspc::memory_bytes(std::size_t index_bytes) const {
     scale_bytes = sizeof(float);  // one scale, replicated only in memory
   }
   return nnz_ * bytes_per_weight(precision_) + scale_bytes +
+         q8_offset_sum_.size() * sizeof(std::int32_t) +
          col_pool_.size() * index_bytes + active_rows_.size() * index_bytes +
          meta_bytes;
 }

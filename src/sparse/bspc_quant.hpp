@@ -95,33 +95,36 @@ class PackedQuantizedBspc {
   /// weight storage only) — the fused step's throughput kernel. Codes
   /// multiply codes with exact int32 accumulation: each block's
   /// activation codes are gathered once into a stream-major interleaved
-  /// panel, every weight code pair is broadcast and madd'ed across the
-  /// whole batch (no per-stream horizontal reductions), and partial
-  /// sums ride per-stripe int32 accumulators dequantized once per
-  /// (row, stream) as i32 * row_scale[r] * x.scale[b]. Per-stream sums
-  /// equal dot_q8_q8_i32 exactly (integer associativity), so the result
-  /// is within the activation grid's rounding slack of
-  /// spmm_stripe_list, not bitwise. `scratch` needs
-  /// q8_scratch_words(batch) int32 words.
+  /// panel, every group of weight codes is broadcast and multiplied
+  /// across the whole batch (no per-stream horizontal reductions), and
+  /// partial sums ride per-stripe int32 accumulators dequantized once per
+  /// (row, stream) as i32 * row_scale[r] * x.scale[b]. On AVX-VNNI builds
+  /// the panel holds 4 columns per 32-bit lane as unsigned bytes code +
+  /// 128 and each weight quad is one vpdpbusd per 8 streams; the
+  /// accumulators start at minus the pack-time 128 * sum(row codes), so
+  /// the sums are unchanged. Other builds use int16 column pairs (see
+  /// tensor/quant_dot.hpp). Per-stream sums equal dot_q8_q8_i32 exactly
+  /// (integer associativity) on every build, so the result is within the
+  /// activation grid's rounding slack of spmm_stripe_list, not bitwise.
+  /// `scratch` needs q8_scratch_words(batch) int32 words.
   void spmm_stripe_list_q8(const QuantizedActivations& x, Matrix& y,
                            std::size_t batch,
                            std::span<const std::uint32_t> stripes,
                            std::span<std::int32_t> scratch) const;
 
   /// int32 scratch words spmm_stripe_list_q8 needs at `batch`: the
-  /// interleaved activation panel plus the stripe accumulator block,
-  /// both padded to 8-stream lanes (the transposed activation panel's
-  /// lane group).
-  [[nodiscard]] std::size_t q8_scratch_words(std::size_t batch) const {
-    const std::size_t bp = (batch + 7) & ~std::size_t{7};
-    return bp * ((max_block_cols_ + 1) / 2 + max_stripe_rows_);
-  }
+  /// interleaved activation panel (ceil(max_block_cols / 4) lane groups
+  /// on AVX-VNNI builds, ceil(max_block_cols / 2) otherwise) plus the
+  /// stripe accumulator block, both padded to 8-stream lanes (the
+  /// transposed activation panel's lane group).
+  [[nodiscard]] std::size_t q8_scratch_words(std::size_t batch) const;
 
   /// Dequantized dense reconstruction (for verification).
   [[nodiscard]] Matrix to_dense() const;
 
   /// Storage footprint: packed values at their true width, plus scales,
-  /// plus the shared structural metadata.
+  /// plus the q8 kernel's per-row offset sums (AVX-VNNI builds), plus the
+  /// shared structural metadata.
   [[nodiscard]] std::size_t memory_bytes(std::size_t index_bytes = 4) const;
 
  private:
@@ -154,6 +157,10 @@ class PackedQuantizedBspc {
   /// Dequantization scale per global row (per-tensor precision stores
   /// the one tensor scale replicated, keeping the kernel uniform).
   std::vector<float, AlignedAllocator<float>> row_scale_;
+  /// Per global row, 128 * the sum of its int8 codes: what the AVX-VNNI
+  /// q8 kernel's code + 128 panel adds to each row's int32 sums. Empty
+  /// on builds whose panel holds raw codes, and for fp16.
+  std::vector<std::int32_t> q8_offset_sum_;
 };
 
 }  // namespace rtmobile

@@ -7,6 +7,10 @@
 #include <stdexcept>
 #include <string>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace rtmobile {
 
 const char* to_string(WeightPrecision precision) {
@@ -87,13 +91,60 @@ void QuantizedActivations::quantize_row(std::size_t b,
   }
 }
 
+#if defined(__SSE2__)
+namespace {
+
+/// Transposes a 16 x 16 byte tile: row r of the source (16 bytes at
+/// src + r * src_stride) becomes column r of the destination. Four
+/// rounds of pairwise byte unpacks (registers i and i + 8) each rotate
+/// the (register, byte) index bits by one, so after four the register
+/// index and the byte index have swapped.
+void transpose_tile_16x16(const std::int8_t* src, std::size_t src_stride,
+                          std::int8_t* dst, std::size_t dst_stride) {
+  __m128i t[16];
+  for (std::size_t r = 0; r < 16; ++r) {
+    t[r] = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(src + r * src_stride));
+  }
+  for (int round = 0; round < 4; ++round) {
+    __m128i u[16];
+    for (std::size_t i = 0; i < 8; ++i) {
+      u[2 * i] = _mm_unpacklo_epi8(t[i], t[i + 8]);
+      u[2 * i + 1] = _mm_unpackhi_epi8(t[i], t[i + 8]);
+    }
+    std::copy(u, u + 16, t);
+  }
+  for (std::size_t c = 0; c < 16; ++c) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + c * dst_stride),
+                     t[c]);
+  }
+}
+
+}  // namespace
+#endif
+
 void QuantizedActivations::transpose(std::size_t active_batch) {
   const std::size_t padded = (active_batch + 7) & ~std::size_t{7};
   padded_batch = padded;
   if (tcodes.size() < dim * padded) tcodes.resize(dim * padded);
+  // 16 x 16 SIMD tiles over the full-tile region, scalar for the
+  // remaining streams and dimensions.
+  std::size_t tiled_batch = 0;
+  std::size_t tiled_dim = 0;
+#if defined(__SSE2__)
+  tiled_batch = active_batch & ~std::size_t{15};
+  tiled_dim = dim & ~std::size_t{15};
+  for (std::size_t b = 0; b < tiled_batch; b += 16) {
+    for (std::size_t c = 0; c < tiled_dim; c += 16) {
+      transpose_tile_16x16(codes.data() + b * dim + c, dim,
+                           tcodes.data() + c * padded + b, padded);
+    }
+  }
+#endif
   for (std::size_t c = 0; c < dim; ++c) {
     std::int8_t* out = tcodes.data() + c * padded;
-    for (std::size_t b = 0; b < active_batch; ++b) {
+    const std::size_t b_begin = c < tiled_dim ? tiled_batch : 0;
+    for (std::size_t b = b_begin; b < active_batch; ++b) {
       out[b] = codes[b * dim + c];
     }
     std::fill(out + active_batch, out + padded, std::int8_t{0});

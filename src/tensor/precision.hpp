@@ -126,9 +126,11 @@ struct QuantizedActivations {
   /// Builds the column-major mirror of rows [0, active_batch): tcodes
   /// lays out each activation dimension's codes contiguously across
   /// streams, padded with zero lanes to a multiple of 8 so the matmat
-  /// kernels can load whole stream groups with one instruction. Call
-  /// after every row is quantized; the padded width becomes
-  /// padded_batch. Grow-only like the row-major panel.
+  /// kernels can load whole stream groups with one instruction. Full
+  /// 16-stream x 16-dimension tiles transpose with SSE2 byte unpacks
+  /// (scalar for the remainder and on other ISAs). Call after every row
+  /// is quantized; the padded width becomes padded_batch. Grow-only
+  /// like the row-major panel.
   void transpose(std::size_t active_batch);
 
   [[nodiscard]] const std::int8_t* row(std::size_t b) const {

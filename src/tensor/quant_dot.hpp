@@ -11,12 +11,24 @@
 // these helpers, so all of them share one summation tree and remain
 // bit-identical to each other within a build.
 //
+// The fused int8-activation matmat (interleave_q8_panel +
+// matmat_q8_block) accumulates code by code in int32, which is exact,
+// so its three builds return identical sums and differ only in panel
+// layout and instruction:
+//   - AVX-VNNI: kQ8PanelCols = 4 columns per 32-bit lane as unsigned
+//     bytes code + 128, one vpdpbusd (u8 x s8, 32 MACs) per 8 streams;
+//     the caller cancels the +128 with a pack-time per-row correction
+//     of kQ8PanelOffset * sum(row codes).
+//   - AVX2: 2 columns per lane as int16 codes, vpmaddwd + vpaddd.
+//   - scalar: the AVX2 layout, plain loops.
+//
 // CMake compiles only the two TUs including this header with
-// -mavx2 -mfma (when the configuring host supports them) and
-// -ffp-contract=off, so the neighboring fp16 loops cannot be
-// FMA-contracted away from the simulation's arithmetic. Do not include
-// this header from other translation units: the AVX2/fallback split is
-// per-TU and would otherwise violate the one-definition rule.
+// -mavx2 -mfma (when the configuring host supports them; bspc_quant.cpp
+// also gets -mavxvnni when the host runs it) and -ffp-contract=off, so
+// the neighboring fp16 loops cannot be FMA-contracted away from the
+// simulation's arithmetic. Do not include this header from other
+// translation units: the ISA split is per-TU and would otherwise violate
+// the one-definition rule.
 #pragma once
 
 #include <cstddef>
@@ -150,6 +162,135 @@ inline std::int32_t dot_q8_q8_i32(const std::int8_t* q,
   return sum;
 }
 
+#if defined(__AVXVNNI__)
+
+/// Activation columns per 32-bit panel lane, and the bias the panel adds
+/// to every activation code (see matmat_q8_block).
+inline constexpr std::size_t kQ8PanelCols = 4;
+inline constexpr std::int32_t kQ8PanelOffset = 128;
+
+/// Builds one column quad's panel lane group from the transposed
+/// activation panel: byte j of 32-bit lane b is cols[j][b] + 128 (the
+/// sign bit flipped, so codes -127..127 become unsigned 1..255). Columns
+/// j >= n (the block's tail) are filled with the code 0 byte; their
+/// weights are zero, so any byte there contributes nothing. `bp` is a
+/// multiple of 8, so the quad interleaves as straight 16- or 8-stream
+/// loads and two rounds of unpacks.
+inline void interleave_q8_panel(const std::int8_t* const* cols,
+                                std::size_t n, std::size_t bp,
+                                std::int32_t* lane) {
+  const __m128i flip = _mm_set1_epi8(static_cast<char>(0x80));
+  __m128i c[4] = {flip, flip, flip, flip};
+  std::size_t b = 0;
+  for (; b + 16 <= bp; b += 16) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto* src = reinterpret_cast<const __m128i*>(cols[j] + b);
+      c[j] = _mm_xor_si128(_mm_loadu_si128(src), flip);
+    }
+    const __m128i c01_lo = _mm_unpacklo_epi8(c[0], c[1]);
+    const __m128i c01_hi = _mm_unpackhi_epi8(c[0], c[1]);
+    const __m128i c23_lo = _mm_unpacklo_epi8(c[2], c[3]);
+    const __m128i c23_hi = _mm_unpackhi_epi8(c[2], c[3]);
+    auto* out = reinterpret_cast<__m128i*>(lane + b);
+    _mm_storeu_si128(out, _mm_unpacklo_epi16(c01_lo, c23_lo));
+    _mm_storeu_si128(out + 1, _mm_unpackhi_epi16(c01_lo, c23_lo));
+    _mm_storeu_si128(out + 2, _mm_unpacklo_epi16(c01_hi, c23_hi));
+    _mm_storeu_si128(out + 3, _mm_unpackhi_epi16(c01_hi, c23_hi));
+  }
+  if (b < bp) {  // 8-stream tail: one 64-bit load per column
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto* src = reinterpret_cast<const __m128i*>(cols[j] + b);
+      c[j] = _mm_xor_si128(_mm_loadl_epi64(src), flip);
+    }
+    const __m128i c01 = _mm_unpacklo_epi8(c[0], c[1]);
+    const __m128i c23 = _mm_unpacklo_epi8(c[2], c[3]);
+    auto* out = reinterpret_cast<__m128i*>(lane + b);
+    _mm_storeu_si128(out, _mm_unpacklo_epi16(c01, c23));
+    _mm_storeu_si128(out + 1, _mm_unpackhi_epi16(c01, c23));
+  }
+}
+
+namespace quant_detail {
+
+/// a[v] += the u8 x s8 quad products of `quad` (four weight codes) and
+/// lane group `lane`'s streams [8v, 8v + 8), for v < kVecs.
+template <std::size_t kVecs>
+inline void dpbusd_quad(__m256i (&a)[kVecs], std::int32_t quad,
+                        const std::int32_t* lane) {
+  const __m256i wq = _mm256_set1_epi32(quad);
+  const auto* codes = reinterpret_cast<const __m256i*>(lane);
+  for (std::size_t v = 0; v < kVecs; ++v) {
+    a[v] = _mm256_dpbusd_avx_epi32(a[v], _mm256_loadu_si256(codes + v), wq);
+  }
+}
+
+/// matmat_q8_block over one group of kVecs * 8 streams: each row's
+/// accumulators stay in registers across the whole block, and every
+/// weight quad is one broadcast plus kVecs vpdpbusd.
+template <std::size_t kVecs>
+inline void dpbusd_q8_rows(const std::int8_t* w, std::size_t col_count,
+                           std::size_t n_rows, const std::int32_t* panel,
+                           std::size_t bp, std::int32_t* acc) {
+  const std::size_t quads = col_count / 4;
+  const std::size_t tail = col_count % 4;
+  for (std::size_t i = 0; i < n_rows; ++i) {
+    const std::int8_t* wr = w + i * col_count;
+    auto* arow = reinterpret_cast<__m256i*>(acc + i * bp);
+    __m256i a[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      a[v] = _mm256_loadu_si256(arow + v);
+    }
+    for (std::size_t q = 0; q < quads; ++q) {
+      std::int32_t quad;
+      std::memcpy(&quad, wr + 4 * q, 4);
+      dpbusd_quad(a, quad, panel + q * bp);
+    }
+    if (tail != 0) {  // zero weights past the row's end
+      std::int32_t quad = 0;
+      std::memcpy(&quad, wr + 4 * quads, tail);
+      dpbusd_quad(a, quad, panel + quads * bp);
+    }
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      _mm256_storeu_si256(arow + v, a[v]);
+    }
+  }
+}
+
+}  // namespace quant_detail
+
+/// acc[i][b] += sum_k w[i][k] * (a[k][b] + kQ8PanelOffset) for every
+/// active row i of a block and bp streams (bp a multiple of 8) — the
+/// fused batched-matmat microkernel. `panel` holds ceil(col_count / 4)
+/// lane groups from interleave_q8_panel. The non-saturating vpdpbusd
+/// keeps every sum exact: |4 products| <= 4 * 255 * 127, and a whole row
+/// stays below 1024 * 255 * 127 < 2^31. Subtracting the row's
+/// kQ8PanelOffset * sum_k w[i][k] recovers the code-by-code sum, exactly
+/// equal to dot_q8_q8_i32 per stream.
+inline void matmat_q8_block(const std::int8_t* w, std::size_t col_count,
+                            std::size_t n_rows, const std::int32_t* panel,
+                            std::size_t bp, std::int32_t* acc) {
+  // Stream groups of up to 32 keep a row's accumulators in 4 registers.
+  for (std::size_t b = 0; b < bp; b += 32) {
+    const std::int32_t* p = panel + b;
+    std::int32_t* a = acc + b;
+    const std::size_t vecs = bp - b >= 32 ? 4 : (bp - b) / 8;
+    if (vecs == 4) {
+      quant_detail::dpbusd_q8_rows<4>(w, col_count, n_rows, p, bp, a);
+    } else if (vecs == 3) {
+      quant_detail::dpbusd_q8_rows<3>(w, col_count, n_rows, p, bp, a);
+    } else if (vecs == 2) {
+      quant_detail::dpbusd_q8_rows<2>(w, col_count, n_rows, p, bp, a);
+    } else {
+      quant_detail::dpbusd_q8_rows<1>(w, col_count, n_rows, p, bp, a);
+    }
+  }
+}
+
+#else  // AVX2 without VNNI: int16 pairs, vpmaddwd + vpaddd
+
+inline constexpr std::size_t kQ8PanelCols = 2;
+inline constexpr std::int32_t kQ8PanelOffset = 0;
+
 /// acc[b] += sum_k w[k] * a[k][b] for bp streams at once (bp a multiple
 /// of 8) — the fused batched-matmat microkernel. `panel` holds the
 /// block's activation codes interleaved stream-major: for column pair p,
@@ -188,9 +329,11 @@ inline void madd_q8_pairs(const std::int8_t* w, std::size_t n,
 /// packing, which is where the pair kernel spends most of its
 /// instructions on the wide blocks BSPC actually produces. Identical
 /// int32 sums to madd_q8_pairs row by row (integer associativity).
-inline void madd_q8_block(const std::int8_t* w, std::size_t col_count,
-                          std::size_t n_rows, const std::int16_t* panel,
-                          std::size_t bp, std::int32_t* acc) {
+/// `lanes` is the pair panel from interleave_q8_panel.
+inline void matmat_q8_block(const std::int8_t* w, std::size_t col_count,
+                            std::size_t n_rows, const std::int32_t* lanes,
+                            std::size_t bp, std::int32_t* acc) {
+  const auto* panel = reinterpret_cast<const std::int16_t*>(lanes);
   const std::size_t pairs = (col_count + 1) / 2;
   // Pair groups whose 8 weight bytes are all in bounds.
   const std::size_t groups = col_count / 8;
@@ -238,12 +381,16 @@ inline void madd_q8_block(const std::int8_t* w, std::size_t col_count,
 }
 
 /// Builds one column pair's interleaved panel lane from the transposed
-/// activation panel: lane[2b] = c0[b], lane[2b+1] = c1[b] (or 0 when c1
-/// is null — the odd-tail column), widened to int16. `bp` is a multiple
+/// activation panel: int16 2b = cols[0][b], 2b+1 = cols[1][b] (or 0 when
+/// n == 1 — the odd-tail column), widened to int16. `bp` is a multiple
 /// of 8 so the whole column interleaves as straight loads + byte
 /// unpack + sign extension, no strided scalar stores.
-inline void interleave_q8_pairs(const std::int8_t* c0, const std::int8_t* c1,
-                                std::size_t bp, std::int16_t* lane) {
+inline void interleave_q8_panel(const std::int8_t* const* cols,
+                                std::size_t n, std::size_t bp,
+                                std::int32_t* lanes) {
+  const std::int8_t* c0 = cols[0];
+  const std::int8_t* c1 = n > 1 ? cols[1] : nullptr;
+  auto* lane = reinterpret_cast<std::int16_t*>(lanes);
   std::size_t b = 0;
   for (; b + 16 <= bp; b += 16) {
     const __m128i lo8 =
@@ -269,6 +416,8 @@ inline void interleave_q8_pairs(const std::int8_t* c0, const std::int8_t* c1,
         _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(lo8, hi8)));
   }
 }
+
+#endif  // __AVXVNNI__
 
 #else  // portable fallback: same summation tree, scalar lanes
 
@@ -318,6 +467,9 @@ inline std::int32_t dot_q8_q8_i32(const std::int8_t* q,
   return sum;
 }
 
+inline constexpr std::size_t kQ8PanelCols = 2;
+inline constexpr std::int32_t kQ8PanelOffset = 0;
+
 /// Scalar form of the fused microkernel — identical int32 sums to the
 /// AVX2 build by integer associativity. Panel layout matches: pair p's
 /// lane b is (a[2p][b], a[2p+1][b]) as adjacent int16s.
@@ -337,9 +489,10 @@ inline void madd_q8_pairs(const std::int8_t* w, std::size_t n,
 
 /// Scalar form of the block kernel — row-by-row madd_q8_pairs, which is
 /// the same int32 arithmetic the AVX2 build performs.
-inline void madd_q8_block(const std::int8_t* w, std::size_t col_count,
-                          std::size_t n_rows, const std::int16_t* panel,
-                          std::size_t bp, std::int32_t* acc) {
+inline void matmat_q8_block(const std::int8_t* w, std::size_t col_count,
+                            std::size_t n_rows, const std::int32_t* lanes,
+                            std::size_t bp, std::int32_t* acc) {
+  const auto* panel = reinterpret_cast<const std::int16_t*>(lanes);
   for (std::size_t i = 0; i < n_rows; ++i) {
     madd_q8_pairs(w + i * col_count, col_count, panel, bp, acc + i * bp);
   }
@@ -347,11 +500,13 @@ inline void madd_q8_block(const std::int8_t* w, std::size_t col_count,
 
 /// Scalar form of the panel interleave — same lane layout as the AVX2
 /// build (values are exact either way).
-inline void interleave_q8_pairs(const std::int8_t* c0, const std::int8_t* c1,
-                                std::size_t bp, std::int16_t* lane) {
+inline void interleave_q8_panel(const std::int8_t* const* cols,
+                                std::size_t n, std::size_t bp,
+                                std::int32_t* lanes) {
+  auto* lane = reinterpret_cast<std::int16_t*>(lanes);
   for (std::size_t b = 0; b < bp; ++b) {
-    lane[2 * b] = c0[b];
-    lane[2 * b + 1] = c1 ? c1[b] : std::int16_t{0};
+    lane[2 * b] = cols[0][b];
+    lane[2 * b + 1] = n > 1 ? cols[1][b] : std::int16_t{0};
   }
 }
 
