@@ -1,15 +1,18 @@
 #include "cache/prefix_cache.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace rtmobile::cache {
 
-PrefixCache::PrefixCache(const CacheConfig& config) : config_(config) {
+PrefixCache::PrefixCache(const CacheConfig& config)
+    : config_(config), doorkeeper_(kDoorkeeperSlots, 0) {
   RT_REQUIRE(config_.quant_scale > 0.0F,
              "cache: quant_scale must be positive");
 }
 
-const PrefixCache::Entry* PrefixCache::lookup(const PrefixCursor& key) {
+PrefixCache::Entry* PrefixCache::find_exact(const PrefixCursor& key) {
   const auto it = map_.find(key.bucket);
   if (it == map_.end()) return nullptr;
   Entry& entry = it->second;
@@ -18,8 +21,22 @@ const PrefixCache::Entry* PrefixCache::lookup(const PrefixCursor& key) {
   if (entry.sig_lo != key.sig_lo || entry.sig_hi != key.sig_hi) {
     return nullptr;
   }
-  lru_.splice(lru_.begin(), lru_, entry.lru);
   return &entry;
+}
+
+const PrefixCache::Entry* PrefixCache::lookup(const PrefixCursor& key) {
+  Entry* entry = find_exact(key);
+  if (entry != nullptr) lru_.splice(lru_.begin(), lru_, entry->lru);
+  return entry;
+}
+
+bool PrefixCache::admit(const PrefixCursor& key) {
+  static_assert(std::has_single_bit(kDoorkeeperSlots));
+  std::uint64_t& slot = doorkeeper_[key.sig_lo & (kDoorkeeperSlots - 1)];
+  const std::uint64_t tag = key.sig_hi | 1U;
+  if (slot == tag || find_exact(key) != nullptr) return true;
+  slot = tag;
+  return false;
 }
 
 PrefixCache::InsertResult PrefixCache::insert(const PrefixCursor& key,
@@ -85,6 +102,7 @@ void PrefixCache::clear() {
   map_.clear();
   lru_.clear();
   bytes_ = 0;
+  std::fill(doorkeeper_.begin(), doorkeeper_.end(), 0);
 }
 
 }  // namespace rtmobile::cache

@@ -35,6 +35,13 @@
 // run, the invariant tests/test_cache.cpp enforces on every hit, miss,
 // eviction, and migration path.
 //
+// The compute path writes an entry only on a prefix's *second*
+// computation (admit(): the doorkeeper half of TinyLFU, Einziger,
+// Friedman and Manes, ACM ToS 2017). Audio that never repeats — most
+// live traffic — then costs one table probe per frame instead of a
+// hidden-state snapshot copy, an allocation and an eviction, and a
+// repeated utterance computes twice before its third run replays.
+//
 // Eviction is LRU under a byte budget. One instance is owned per
 // InferenceEngine (ShardedEngine replicas therefore each own a private,
 // shard-local cache) and is touched only by that engine's driving thread
@@ -160,6 +167,13 @@ class PrefixCache {
   /// position.
   [[nodiscard]] const Entry* lookup(const PrefixCursor& key);
 
+  /// Second-sighting admission, asked before the compute path memoizes
+  /// a step: true when `key`'s prefix is already cached or was offered
+  /// before; otherwise records this first sighting and returns false.
+  /// A prefix whose slot another took in between waits one sighting
+  /// more; a slot collision never admits a wrong prefix.
+  [[nodiscard]] bool admit(const PrefixCursor& key);
+
   /// Memoizes one step: `logits` is the row the model just produced for
   /// the prefix `key` describes, `state` the flattened hidden state
   /// after that step. Re-inserting an already-cached prefix refreshes
@@ -181,8 +195,16 @@ class PrefixCache {
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
   [[nodiscard]] const CacheConfig& config() const { return config_; }
 
-  /// Drops every entry (counters keep their totals).
+  /// Drops every entry and every first-sighting record (counters keep
+  /// their totals).
   void clear();
+
+  /// Slots in admit()'s first-sighting table (8 bytes each). More slots
+  /// remember more prefixes between their first and second sighting, at
+  /// the cost of resident memory and of cache footprint on the miss
+  /// path; 2^15 (256 KiB) spans ~5 minutes of computed audio at 10 ms
+  /// frames, summed over the engine's streams.
+  static constexpr std::size_t kDoorkeeperSlots = std::size_t{1} << 15;
 
  private:
   /// Bookkeeping charge per entry beyond the float payloads (hash node,
@@ -190,6 +212,8 @@ class PrefixCache {
   /// arithmetic is deterministic.
   static constexpr std::size_t kEntryOverhead = 128;
 
+  /// The cached entry holding exactly `key`'s prefix, or null.
+  [[nodiscard]] Entry* find_exact(const PrefixCursor& key);
   void evict_lru();
 
   CacheConfig config_;
@@ -197,6 +221,9 @@ class PrefixCache {
   std::list<std::uint64_t> lru_;  // front = most recently used bucket
   std::size_t bytes_ = 0;
   std::uint64_t evictions_ = 0;
+  // Signature tag (sig_hi | 1, so 0 marks an empty slot) of the last
+  // prefix offered to admit() per slot sig_lo % kDoorkeeperSlots.
+  std::vector<std::uint64_t> doorkeeper_;
 };
 
 }  // namespace rtmobile::cache

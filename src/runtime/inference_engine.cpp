@@ -303,18 +303,22 @@ std::size_t InferenceEngine::step() {
       active_[b]->pop_frame();
       audio_seconds += active_[b]->seconds_per_frame();
       if (cache_ != nullptr) {
+        stats_.cache_misses += 1;
+        if (telemetry != nullptr) telemetry->cache().misses->add(1);
         // Memoize this step so an identical prefix replays it: the row
         // plus the post-step hidden state the next frame resumes from.
-        active_[b]->capture_state(cache_state_scratch_);
-        const cache::PrefixCache::InsertResult inserted = cache_->insert(
-            active_[b]->prefix_cursor(), batch_logits_.row(b),
-            cache_state_scratch_);
-        stats_.cache_misses += 1;
-        stats_.cache_evictions += inserted.evicted;
-        if (telemetry != nullptr) {
-          telemetry->cache().misses->add(1);
-          telemetry->cache().evictions->add(inserted.evicted);
-          telemetry->cache().inserted_bytes->add(inserted.bytes_added);
+        // Only a prefix computed before is admitted, so audio that never
+        // repeats costs one probe here, not a snapshot copy.
+        if (cache_->admit(active_[b]->prefix_cursor())) {
+          active_[b]->capture_state(cache_state_scratch_);
+          const cache::PrefixCache::InsertResult inserted = cache_->insert(
+              active_[b]->prefix_cursor(), batch_logits_.row(b),
+              cache_state_scratch_);
+          stats_.cache_evictions += inserted.evicted;
+          if (telemetry != nullptr) {
+            telemetry->cache().evictions->add(inserted.evicted);
+            telemetry->cache().inserted_bytes->add(inserted.bytes_added);
+          }
         }
       }
     }

@@ -60,9 +60,10 @@ struct EngineConfig {
   /// Time source for arrival stamps and lag (must outlive the engine);
   /// null = the shared-epoch monotonic wall clock.
   EngineClock* clock = nullptr;
-  /// Retained-sample cap for the stats recorders (0 = keep every sample,
-  /// the exact-quantile default; see LatencyRecorder::set_cap).
-  std::size_t stats_sample_cap = 0;
+  /// Retained-sample cap for the stats recorders (0 = keep every sample;
+  /// see LatencyRecorder::set_cap). The default bounds a long-lived
+  /// engine's recorders; below it every quantile is exact.
+  std::size_t stats_sample_cap = 65536;
   /// Observability sink (metrics counters + span traces); null keeps the
   /// engine observability-free (the historical default — cost is one
   /// branch). Shared across engines: counters are incremented in the

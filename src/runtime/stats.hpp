@@ -1,10 +1,10 @@
 // Latency/throughput accounting for the streaming runtime.
 //
 // LatencyRecorder defaults to keeping every sample so quantiles are
-// exact; at one entry per engine step (not per matvec) the memory cost
-// is negligible against the audio being served. For long-running soaks
-// (an overload bench stepping every 10 ms for hours) a positive cap
-// switches it to deterministic systematic decimation: once the retained
+// exact. A long-lived engine records one sample per step for its whole
+// life, so InferenceEngine caps its recorders (EngineConfig::
+// stats_sample_cap, 65536 by default). A positive cap switches the
+// recorder to deterministic systematic decimation: once the retained
 // set reaches the cap, every other retained sample is dropped and the
 // sampling stride doubles, so the recorder holds a uniform 1-in-stride
 // subsample of the whole stream in bounded memory. Below the cap (and

@@ -252,6 +252,45 @@ TEST(PrefixCache, BudgetBelowOneEntryDegradesToOneEntry) {
   EXPECT_NE(cache.lookup(b), nullptr);
 }
 
+TEST(PrefixCache, AdmitsOnSecondSighting) {
+  CacheConfig config;
+  config.enabled = true;
+  PrefixCache cache(config);
+  const std::vector<float> state = {0.0F};
+  const std::vector<float> row = {1.0F};
+  PrefixCursor key = PrefixCursor::from_state(state);
+  key.advance(row, config.quant_scale);
+
+  EXPECT_FALSE(cache.admit(key));  // first sighting: remembered only
+  EXPECT_TRUE(cache.admit(key));   // second: admitted
+  EXPECT_EQ(cache.entries(), 0U);  // admission alone stores nothing
+
+  // A cached prefix is admitted on its first offer (insert refreshes it).
+  PrefixCursor cached = key;
+  cached.advance(row, config.quant_scale);
+  cache.insert(cached, row, state);
+  EXPECT_TRUE(cache.admit(cached));
+
+  // Two prefixes sharing one slot overwrite each other's sighting, so
+  // A, B, A admits neither.
+  PrefixCursor a;
+  a.bucket = 1;
+  a.sig_lo = 12345;
+  a.sig_hi = 0xA000;
+  PrefixCursor b;
+  b.bucket = 2;
+  b.sig_lo = a.sig_lo + PrefixCache::kDoorkeeperSlots;
+  b.sig_hi = 0xB000;
+  EXPECT_FALSE(cache.admit(a));
+  EXPECT_FALSE(cache.admit(b));
+  EXPECT_FALSE(cache.admit(a));
+
+  // clear() forgets sightings along with entries.
+  cache.clear();
+  EXPECT_FALSE(cache.admit(key));
+  EXPECT_FALSE(cache.admit(cached));
+}
+
 // ------------------------------------------- engine parity (the tentpole)
 
 TEST(CacheEngine, ReplayIsBitwiseIdenticalAndSkipsAllCompute) {
@@ -268,14 +307,16 @@ TEST(CacheEngine, ReplayIsBitwiseIdenticalAndSkipsAllCompute) {
   InferenceEngine engine(*d.compiled, cached_engine_config());
   ASSERT_NE(engine.cache(), nullptr);
 
-  // First pass populates the cache (all compute)...
+  // Two priming passes populate the cache (all compute): the first
+  // sights each prefix, the second admits it...
   std::vector<speech::StreamEvent> first_events;
   const Matrix first = serve_stream(engine, wave, 1024, decode,
                                     &first_events);
   EXPECT_EQ(first, reference);
-  EXPECT_EQ(engine.stats().cache_hits, 0U);
   const std::size_t frames = engine.stats().frames_processed;
-  EXPECT_EQ(engine.stats().cache_misses, frames);
+  (void)serve_stream(engine, wave, 1024, decode);
+  EXPECT_EQ(engine.stats().cache_hits, 0U);
+  EXPECT_EQ(engine.stats().cache_misses, 2 * frames);
   EXPECT_GT(engine.cache()->entries(), 0U);
 
   // ...a replay under a different chunking serves entirely from cache.
@@ -286,12 +327,60 @@ TEST(CacheEngine, ReplayIsBitwiseIdenticalAndSkipsAllCompute) {
   EXPECT_EQ(replay_events, cold_events);             // events bitwise
   EXPECT_EQ(first_events, cold_events);
   EXPECT_EQ(engine.stats().cache_hits, frames);      // every frame hit
-  EXPECT_EQ(engine.stats().cache_misses, frames);    // unchanged
+  EXPECT_EQ(engine.stats().cache_misses, 2 * frames);
   EXPECT_EQ(engine.stats().cache_skipped_steps, frames);
   // The accounting identity a cache-enabled engine maintains.
   EXPECT_EQ(engine.stats().cache_hits + engine.stats().cache_misses,
             engine.stats().frames_processed);
   EXPECT_EQ(engine.stats().cache_bytes, engine.cache()->bytes());
+}
+
+TEST(CacheEngine, UniqueTrafficCachesNothing) {
+  const TestDeployment d = make_deployment(12, 17);
+  const speech::StreamingDecoderConfig decode;
+  InferenceEngine cold(*d.compiled);
+  InferenceEngine engine(*d.compiled, cached_engine_config());
+
+  // Distinct waveforms never repeat a prefix, so none is admitted: every
+  // frame is a miss and nothing becomes resident.
+  for (std::uint64_t seed = 51; seed < 55; ++seed) {
+    const std::vector<float> wave = random_waveform(6400, seed);
+    std::vector<speech::StreamEvent> cold_events;
+    const Matrix reference = serve_stream(cold, wave, 1024, decode,
+                                          &cold_events);
+    std::vector<speech::StreamEvent> events;
+    const Matrix served = serve_stream(engine, wave, 1024, decode, &events);
+    EXPECT_EQ(served, reference);
+    EXPECT_EQ(events, cold_events);
+  }
+  EXPECT_EQ(engine.cache()->entries(), 0U);
+  EXPECT_EQ(engine.cache()->bytes(), 0U);
+  EXPECT_EQ(engine.stats().cache_bytes, 0U);
+  EXPECT_EQ(engine.stats().cache_evictions, 0U);
+  EXPECT_EQ(engine.stats().cache_hits, 0U);
+  EXPECT_GT(engine.stats().frames_processed, 0U);
+  EXPECT_EQ(engine.stats().cache_misses, engine.stats().frames_processed);
+}
+
+TEST(CacheEngine, ThirdSightingHits) {
+  const TestDeployment d = make_deployment(12, 19);
+  const std::vector<float> wave = random_waveform(6400, 61);
+  const speech::StreamingDecoderConfig decode;
+  InferenceEngine engine(*d.compiled, cached_engine_config());
+
+  (void)serve_stream(engine, wave, 1024, decode);
+  const std::size_t frames = engine.stats().frames_processed;
+  EXPECT_EQ(engine.stats().cache_hits, 0U);
+  EXPECT_EQ(engine.cache()->entries(), 0U);
+
+  (void)serve_stream(engine, wave, 1024, decode);
+  EXPECT_EQ(engine.stats().cache_hits, 0U);
+  EXPECT_EQ(engine.stats().cache_misses, 2 * frames);
+  EXPECT_EQ(engine.cache()->entries(), frames);
+
+  (void)serve_stream(engine, wave, 1024, decode);
+  EXPECT_EQ(engine.stats().cache_hits, frames);  // every frame replayed
+  EXPECT_EQ(engine.stats().cache_misses, 2 * frames);
 }
 
 TEST(CacheEngine, DivergenceAtEveryPrefixLengthStaysBitwise) {
@@ -345,6 +434,7 @@ TEST(CacheEngine, OneEntryBudgetStillBitwise) {
   // so it recomputes everything — and must still be bitwise identical.
   InferenceEngine engine(*d.compiled, cached_engine_config(1));
   (void)serve_stream(engine, wave, 1024, decode);
+  (void)serve_stream(engine, wave, 1024, decode);  // admits on 2nd pass
   ASSERT_EQ(engine.cache()->entries(), 1U);
   EXPECT_GT(engine.stats().cache_evictions, 0U);
 
@@ -464,7 +554,8 @@ TEST(CacheSharded, MigratedCacheResumedStreamStaysBitwise) {
   config.engine.cache.enabled = true;
   serve::ShardedEngine engine(*model, masks, options, config);
 
-  // Prime the home shard's cache with the full utterance.
+  // Prime the home shard's cache with the full utterance, served twice
+  // (the cache admits a prefix on its second computation).
   const serve::StreamHandle warm = engine.open_stream();
   const std::size_t home = engine.stream_shard(warm);
   ASSERT_TRUE(engine.submit_audio(warm, wave));
@@ -472,6 +563,12 @@ TEST(CacheSharded, MigratedCacheResumedStreamStaysBitwise) {
   engine.drain();
   ASSERT_TRUE(engine.stream_done(warm));
   EXPECT_EQ(engine.stream_logits(warm), reference);
+  serve::StreamHandle rewarm = engine.open_stream();
+  while (engine.stream_shard(rewarm) != home) rewarm = engine.open_stream();
+  ASSERT_TRUE(engine.submit_audio(rewarm, wave));
+  ASSERT_TRUE(engine.finish_stream(rewarm));
+  engine.drain();
+  ASSERT_TRUE(engine.stream_done(rewarm));
   const std::size_t primed_misses = engine.shard_stats(home).cache_misses;
   EXPECT_GT(primed_misses, 0U);
   ASSERT_NE(engine.shard_cache(home), nullptr);

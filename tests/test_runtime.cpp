@@ -286,6 +286,38 @@ TEST(InferenceEngine, MaxBatchBoundsStepSize) {
   for (std::size_t s = 0; s < 4; ++s) EXPECT_TRUE(engine.session(s).done());
 }
 
+TEST(InferenceEngine, DefaultStatsRecordersStayCapped) {
+  // A default-configured engine bounds its per-step recorders, so a
+  // long-lived serving shard does not grow them for its whole life.
+  TestDeployment d = make_deployment(8, 1, 91);
+  EngineConfig config;
+  config.max_batch = 1;  // one frame per step
+  InferenceEngine engine(*d.compiled, config);
+  const runtime::RuntimeStats& stats = engine.stats();
+  const std::size_t cap = stats.step_latency.cap();
+  ASSERT_GT(cap, 0U);
+  EXPECT_EQ(stats.lag.cap(), cap);
+  EXPECT_EQ(stats.fused_width.cap(), cap);
+
+  // A tiny front end keeps the cap + 1000 frames cheap.
+  MfccConfig mfcc = streaming_mfcc_config();
+  mfcc.frame_length = 32;
+  mfcc.frame_shift = 32;
+  mfcc.fft_size = 32;
+  mfcc.num_mel_filters = 13;
+  StreamingSession& session = engine.create_session(mfcc);
+  const std::vector<float> wave = random_waveform(32 * 4096, 92);
+  while (stats.steps <= cap + 1000) {
+    session.push_audio(wave);
+    engine.drain();
+  }
+  EXPECT_GT(stats.step_latency.count(), cap);
+  EXPECT_LE(stats.step_latency.retained(), cap);
+  EXPECT_GT(stats.lag.count(), cap);
+  EXPECT_LE(stats.lag.retained(), cap);
+  EXPECT_LE(stats.fused_width.retained(), cap);
+}
+
 // -------------------------------------------------------- batched kernel
 TEST(CompiledModel, StepBatchMatchesPerStreamInfer) {
   TestDeployment d = make_deployment(24, 4, 91);
