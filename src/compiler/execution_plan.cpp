@@ -197,22 +197,18 @@ void LayerPlan::execute(std::span<const float> x, std::span<float> y,
                     gather.partition(0));
         return;
       }
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(ro.thread_ranges.size());
-      // Buffers are prepared before dispatch: tasks only read the spans,
+      // Buffers are prepared before dispatch: chunks only read the spans,
       // so concurrent partitions never touch the scratch's vectors.
       gather.prepare(ro.thread_ranges.size(), gather_floats);
-      for (std::size_t r = 0; r < ro.thread_ranges.size(); ++r) {
-        const auto& [begin, end] = ro.thread_ranges[r];
-        if (begin == end) continue;
-        tasks.emplace_back([&ro, &run_stripes, buffer = gather.partition(r),
-                            begin = begin, end = end] {
-          run_stripes({ro.stripe_order.data() + begin,
-                       static_cast<std::size_t>(end - begin)},
-                      buffer);
-        });
-      }
-      pool->run_all(tasks);
+      pool->parallel_for(
+          ro.thread_ranges.size(), [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t r = lo; r < hi; ++r) {
+              const auto& [begin, end] = ro.thread_ranges[r];
+              run_stripes({ro.stripe_order.data() + begin,
+                           static_cast<std::size_t>(end - begin)},
+                          gather.partition(r));
+            }
+          });
       return;
     }
   }
@@ -327,19 +323,15 @@ void LayerPlan::execute_batch(const Matrix& x, Matrix& y, std::size_t batch,
       } else {
         gather.prepare(ro.thread_ranges.size(), panel_floats);
       }
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(ro.thread_ranges.size());
-      for (std::size_t r = 0; r < ro.thread_ranges.size(); ++r) {
-        const auto& [begin, end] = ro.thread_ranges[r];
-        if (begin == end) continue;
-        tasks.emplace_back([&ro, &run_stripes, r, begin = begin,
-                            end = end] {
-          run_stripes({ro.stripe_order.data() + begin,
-                       static_cast<std::size_t>(end - begin)},
-                      r);
-        });
-      }
-      pool->run_all(tasks);
+      pool->parallel_for(
+          ro.thread_ranges.size(), [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t r = lo; r < hi; ++r) {
+              const auto& [begin, end] = ro.thread_ranges[r];
+              run_stripes({ro.stripe_order.data() + begin,
+                           static_cast<std::size_t>(end - begin)},
+                          r);
+            }
+          });
       return;
     }
   }

@@ -1,7 +1,5 @@
 #include "hw/thread_pool.hpp"
 
-#include <algorithm>
-
 #ifdef __linux__
 #include <pthread.h>
 #include <sched.h>
@@ -12,13 +10,25 @@
 namespace rtmobile {
 namespace {
 
-// Spin budget before a worker sleeps / the caller blocks. Tuned for
+// Spin budget before a worker or the caller sleeps. Tuned for
 // sub-millisecond kernels: ~10-30 us of spinning on current hardware.
 constexpr int kSpinIterations = 1 << 14;
 
-inline void spin_pause(int iteration) {
-  // Yield occasionally so spinning does not starve co-scheduled threads.
-  if ((iteration & 1023) == 1023) std::this_thread::yield();
+/// Returns the first value of `word` that differs from `old`: spins for
+/// kSpinIterations, then sleeps on std::atomic::wait.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& word,
+                           std::uint32_t old) {
+  for (int spin = 0; spin < kSpinIterations; ++spin) {
+    const std::uint32_t now = word.load(std::memory_order_acquire);
+    if (now != old) return now;
+    // Yield occasionally so spinning does not starve co-scheduled threads.
+    if ((spin & 1023) == 1023) std::this_thread::yield();
+  }
+  for (;;) {
+    word.wait(old, std::memory_order_acquire);
+    const std::uint32_t now = word.load(std::memory_order_acquire);
+    if (now != old) return now;
+  }
 }
 
 }  // namespace
@@ -29,10 +39,9 @@ ThreadPool::ThreadPool(std::size_t threads, std::optional<CoreRange> affinity) {
              "thread pool affinity range must be non-empty");
   // The caller participates in every job, so spawn threads-1 workers to
   // keep the total concurrency at `threads`.
-  const std::size_t workers = threads - 1;
-  threads_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    threads_.emplace_back([this, i, affinity] {
+  workers_.reserve(threads - 1);
+  for (std::size_t i = 0; i + 1 < threads; ++i) {
+    workers_.emplace_back([this, i, affinity] {
       if (affinity) {
         // Core begin is reserved for the caller; workers take the rest
         // round-robin so a range narrower than the pool still covers it.
@@ -41,144 +50,62 @@ ThreadPool::ThreadPool(std::size_t threads, std::optional<CoreRange> affinity) {
                                      : 0;
         pin_current_thread(affinity->begin + slot);
       }
-      worker_loop();
+      worker_loop(i);
     });
   }
-  configured_threads_ = threads;
 }
 
 ThreadPool::~ThreadPool() {
-  shutting_down_.store(true, std::memory_order_release);
+  job_ = Job{};  // the stop job
   generation_.fetch_add(1, std::memory_order_release);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    work_ready_.notify_all();
-  }
-  for (std::thread& t : threads_) t.join();
+  generation_.notify_all();
+  for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::drain_current_job() {
-  const std::size_t count = task_count_.load(std::memory_order_acquire);
-  const auto* tasks = tasks_;
-  if (tasks == nullptr) return;
+void ThreadPool::run_chunk(std::size_t chunk) noexcept {
+  try {
+    job_.thunk(job_.fn, chunk, chunk * job_.n / job_.chunks,
+               (chunk + 1) * job_.n / job_.chunks);
+  } catch (...) {
+    const std::lock_guard<std::mutex> lock(error_mutex_);
+    if (!error_) error_ = std::current_exception();
+  }
+}
+
+void ThreadPool::worker_loop(std::size_t index) {
+  // A job may be dispatched before this thread first runs, so start from
+  // the generation the pool was built with, not from a fresh load.
+  std::uint32_t seen = 0;
   for (;;) {
-    const std::size_t index = next_.fetch_add(1, std::memory_order_relaxed);
-    if (index >= count) break;
-    std::exception_ptr caught;
-    try {
-      (*tasks)[index]();
-    } catch (...) {
-      caught = std::current_exception();
-    }
-    if (caught) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (!error_) error_ = caught;
-    }
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last task of the job: wake the caller if it gave up spinning.
-      if (caller_sleeping_.load(std::memory_order_acquire)) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        job_done_.notify_all();
-      }
+    seen = await_change(generation_, seen);
+    if (job_.thunk == nullptr) return;
+    if (index + 1 < job_.chunks) run_chunk(index + 1);
+    // Last touch of this job: after this the caller may retire it.
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      pending_.notify_one();
     }
   }
 }
 
-void ThreadPool::worker_loop() {
-  std::uint64_t seen = generation_.load(std::memory_order_acquire);
-  for (;;) {
-    // Hot path: spin on the generation counter.
-    bool have_work = false;
-    for (int spin = 0; spin < kSpinIterations; ++spin) {
-      if (shutting_down_.load(std::memory_order_acquire)) return;
-      if (generation_.load(std::memory_order_acquire) != seen) {
-        have_work = true;
-        break;
-      }
-      spin_pause(spin);
-    }
-    if (!have_work) {
-      std::unique_lock<std::mutex> lock(mutex_);
-      sleepers_.fetch_add(1, std::memory_order_acq_rel);
-      work_ready_.wait(lock, [this, seen] {
-        return shutting_down_.load(std::memory_order_acquire) ||
-               generation_.load(std::memory_order_acquire) != seen;
-      });
-      sleepers_.fetch_sub(1, std::memory_order_acq_rel);
-      if (shutting_down_.load(std::memory_order_acquire)) return;
-    }
-    seen = generation_.load(std::memory_order_acquire);
-    drain_current_job();
-  }
-}
-
-void ThreadPool::run_all(const std::vector<std::function<void()>>& tasks) {
-  if (tasks.empty()) return;
-  RT_ASSERT(remaining_.load(std::memory_order_acquire) == 0,
-            "nested run_all is not supported");
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    error_ = nullptr;
-  }
-  tasks_ = &tasks;
-  task_count_.store(tasks.size(), std::memory_order_relaxed);
-  next_.store(0, std::memory_order_relaxed);
-  remaining_.store(tasks.size(), std::memory_order_relaxed);
-  caller_sleeping_.store(false, std::memory_order_relaxed);
+void ThreadPool::run(const Job& job) {
+  job_ = job;
+  pending_.store(static_cast<std::uint32_t>(workers_.size()),
+                 std::memory_order_relaxed);
   generation_.fetch_add(1, std::memory_order_release);
-  if (sleepers_.load(std::memory_order_acquire) > 0) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    work_ready_.notify_all();
+  generation_.notify_all();
+
+  run_chunk(0);
+  for (std::uint32_t left = pending_.load(std::memory_order_acquire);
+       left != 0;) {
+    left = await_change(pending_, left);
   }
 
-  // The caller is a worker too — on a 1-thread pool it does all the work.
-  drain_current_job();
-
-  // Wait for stragglers: spin briefly, then block.
-  for (int spin = 0; spin < kSpinIterations; ++spin) {
-    if (remaining_.load(std::memory_order_acquire) == 0) break;
-    spin_pause(spin);
-  }
-  if (remaining_.load(std::memory_order_acquire) != 0) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    caller_sleeping_.store(true, std::memory_order_release);
-    job_done_.wait(lock, [this] {
-      return remaining_.load(std::memory_order_acquire) == 0;
-    });
-    caller_sleeping_.store(false, std::memory_order_release);
-  }
-  tasks_ = nullptr;
-
-  std::exception_ptr to_throw;
+  std::exception_ptr error;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    to_throw = error_;
-    error_ = nullptr;
+    const std::lock_guard<std::mutex> lock(error_mutex_);
+    error.swap(error_);
   }
-  if (to_throw) std::rethrow_exception(to_throw);
-}
-
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  parallel_for_indexed(
-      n, [&fn](std::size_t, std::size_t begin, std::size_t end) {
-        fn(begin, end);
-      });
-}
-
-void ThreadPool::parallel_for_indexed(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t workers = std::min(thread_count(), n);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t begin = w * n / workers;
-    const std::size_t end = (w + 1) * n / workers;
-    tasks.emplace_back([&fn, w, begin, end] { fn(w, begin, end); });
-  }
-  run_all(tasks);
+  if (error) std::rethrow_exception(error);
 }
 
 std::size_t ThreadPool::default_thread_count() {

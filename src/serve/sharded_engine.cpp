@@ -1014,7 +1014,13 @@ std::size_t ShardedEngine::seize_and_migrate(std::size_t s,
   }
 
   for (StreamEntry* e : latched) latch_release(e->route_latch);
-  for (const auto& shard : shards_) publish_backlog(*shard);
+  if (running()) {
+    // Live pumps own their engines and republish at the end of their own
+    // round; only the seized source is this thread's to read.
+    publish_backlog(source);
+  } else {
+    for (const auto& shard : shards_) publish_backlog(*shard);
+  }
 
   if (telemetry != nullptr) {
     if (record_failover) telemetry->fault().failovers->add(1);

@@ -41,23 +41,31 @@ TEST(ThreadPool, HandlesFewerItemsThanThreads) {
   pool.parallel_for(0, [&](std::size_t, std::size_t) { FAIL(); });
 }
 
-TEST(ThreadPool, RunAllExecutesEveryTask) {
+TEST(ThreadPool, IndexedRunsEveryIndexAndEveryChunkOnce) {
   ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 10; ++i) {
-    tasks.emplace_back([&counter] { counter.fetch_add(1); });
-  }
-  pool.run_all(tasks);
-  EXPECT_EQ(counter.load(), 10);
+  std::vector<std::atomic<int>> index_hits(10);
+  std::vector<std::atomic<int>> chunk_hits(pool.thread_count());
+  pool.parallel_for_indexed(
+      10, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        ASSERT_LT(chunk, chunk_hits.size());
+        chunk_hits[chunk].fetch_add(1);
+        for (std::size_t i = begin; i < end; ++i) index_hits[i].fetch_add(1);
+      });
+  for (const auto& h : index_hits) EXPECT_EQ(h.load(), 1);
+  for (const auto& h : chunk_hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, PropagatesExceptions) {
   ThreadPool pool(2);
-  std::vector<std::function<void()>> tasks;
-  tasks.emplace_back([] { throw std::runtime_error("worker failure"); });
-  tasks.emplace_back([] {});
-  EXPECT_THROW(pool.run_all(tasks), std::runtime_error);
+  // The throwing chunk runs on a worker in one job and on the caller in
+  // the other; either way the exception reaches the caller.
+  for (const std::size_t bad_chunk : {std::size_t{1}, std::size_t{0}}) {
+    const auto job = [bad_chunk](std::size_t chunk, std::size_t,
+                                 std::size_t) {
+      if (chunk == bad_chunk) throw std::runtime_error("failure");
+    };
+    EXPECT_THROW(pool.parallel_for_indexed(2, job), std::runtime_error);
+  }
   // Pool must still be usable after an exception.
   std::atomic<int> counter{0};
   pool.parallel_for(10, [&](std::size_t begin, std::size_t end) {

@@ -4,6 +4,7 @@
 // do not sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <sstream>
@@ -92,21 +93,25 @@ TEST(ThreadPoolStress, ManyConsecutiveJobsStayCorrect) {
 TEST(ThreadPoolStress, AlternatingSizesAndExceptions) {
   ThreadPool pool(3);
   for (int round = 0; round < 50; ++round) {
-    std::vector<std::function<void()>> tasks;
     const bool poison = round % 7 == 0;
-    std::atomic<int> done{0};
-    for (int i = 0; i < 8; ++i) {
-      if (poison && i == 4) {
-        tasks.emplace_back([] { throw std::runtime_error("boom"); });
-      } else {
-        tasks.emplace_back([&done] { done.fetch_add(1); });
-      }
-    }
+    // Alternate between fewer items than threads and many more.
+    const std::size_t n = round % 2 == 0 ? 2 + round % 3 : 8 + round;
+    // Successive poisoned rounds throw from chunks 0, 1, 2, 0, ...
+    const std::size_t bad_chunk =
+        static_cast<std::size_t>(round / 7) % std::min(n, pool.thread_count());
+    std::vector<std::atomic<int>> hits(n);
+    const auto job = [&](std::size_t chunk, std::size_t begin,
+                         std::size_t end) {
+      if (poison && chunk == bad_chunk) throw std::runtime_error("boom");
+      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+    };
     if (poison) {
-      EXPECT_THROW(pool.run_all(tasks), std::runtime_error);
+      EXPECT_THROW(pool.parallel_for_indexed(n, job), std::runtime_error);
     } else {
-      pool.run_all(tasks);
-      EXPECT_EQ(done.load(), 8);
+      pool.parallel_for_indexed(n, job);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << "round " << round << " index " << i;
+      }
     }
   }
 }
@@ -123,19 +128,43 @@ TEST(ThreadPoolStress, SingleThreadPoolRunsInline) {
 TEST(ThreadPoolStress, HeavyAndLightTasksInterleaved) {
   ThreadPool pool(4);
   std::atomic<double> sink{0.0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 16; ++i) {
-    const int reps = (i % 4 == 0) ? 20000 : 10;
-    tasks.emplace_back([&sink, reps] {
-      double acc = 0.0;
-      for (int k = 0; k < reps; ++k) acc += std::sqrt(static_cast<double>(k));
-      double expected = sink.load();
-      while (!sink.compare_exchange_weak(expected, expected + acc)) {
-      }
-    });
+  // One heavy chunk per job, on a different thread each round, so the
+  // caller both waits on a straggler and is the straggler.
+  for (std::size_t round = 0; round < 8; ++round) {
+    std::vector<std::atomic<int>> chunk_hits(pool.thread_count());
+    pool.parallel_for_indexed(
+        16, [&](std::size_t chunk, std::size_t, std::size_t) {
+          chunk_hits[chunk].fetch_add(1);
+          const int reps = chunk == round % 4 ? 20000 : 10;
+          double acc = 0.0;
+          for (int k = 0; k < reps; ++k) {
+            acc += std::sqrt(static_cast<double>(k));
+          }
+          double expected = sink.load();
+          while (!sink.compare_exchange_weak(expected, expected + acc)) {
+          }
+        });
+    for (const auto& h : chunk_hits) ASSERT_EQ(h.load(), 1);
   }
-  pool.run_all(tasks);
   EXPECT_GT(sink.load(), 0.0);
+}
+
+TEST(ThreadPoolStress, BackToBackJobsLoseNoWakeupAndNoChunk) {
+  // A lost wakeup hangs this loop (ctest TIMEOUT); a worker still running
+  // a retired job shows as a wrong count, or as a race under TSan, since
+  // each chunk's increment is deliberately non-atomic.
+  ThreadPool pool(4);
+  constexpr std::size_t kJobs = 2'000'000;
+  std::vector<std::size_t> out(4, 0);
+  for (std::size_t job = 0; job < kJobs; ++job) {
+    pool.parallel_for_indexed(
+        4, [&](std::size_t chunk, std::size_t, std::size_t) {
+          out[chunk] += 1;
+        });
+  }
+  for (std::size_t chunk = 0; chunk < out.size(); ++chunk) {
+    EXPECT_EQ(out[chunk], kJobs) << "chunk " << chunk;
+  }
 }
 
 // --------------------------------------------------------------- WAV I/O
