@@ -3,8 +3,8 @@
 //
 // Two measurements:
 //
-//  1. Frame-path overhead (the headline): the bench_streaming serving
-//     loop — N concurrent streams through a LocalRecognizer — run twice
+//  1. Frame-path overhead (the headline): the serving loop — N
+//     concurrent streams through a LocalRecognizer — run twice
 //     per repetition, once with EngineConfig::telemetry unset and once
 //     wired to a live Telemetry (counters, histograms, RT_SPAN timers
 //     all active). The arms run back-to-back within each repetition
@@ -79,8 +79,8 @@ std::vector<float> make_waveform(double seconds, std::uint64_t seed) {
   return wave;
 }
 
-/// One serving run (the bench_streaming frame path): all audio pushed up
-/// front, recognizer drained. `telemetry` null = the bare arm.
+/// One serving run: all audio pushed up front, recognizer drained.
+/// `telemetry` null = the bare arm.
 runtime::RuntimeStats run_serving(const BenchSetup& setup,
                                   std::size_t streams, double seconds,
                                   obs::Telemetry* telemetry) {

@@ -1,5 +1,5 @@
 // Blocking wire-protocol client: the reference implementation the
-// loopback tests, the example load generator, and bench_net share.
+// loopback tests and the example load generator share.
 //
 // One WireClient = one TCP connection = one stream. Sends are blocking
 // writes (the OS buffers or the caller waits — exactly the client-side

@@ -171,13 +171,6 @@ std::vector<double> ShardedEngine::snapshot_lags_us() const {
   return lags;
 }
 
-StreamHandle ShardedEngine::open_stream(std::uint64_t session_key) {
-  StreamConfig config;
-  config.decode = speech::StreamingDecoderConfig::none();
-  config.session_key = session_key;
-  return open_stream(config);
-}
-
 OpenResult ShardedEngine::try_open_stream(const StreamConfig& config) {
   std::size_t target = 0;
   StreamHandle handle;

@@ -124,21 +124,14 @@ class ShardedEngine final : public Recognizer {
   /// Admits a new stream; the router picks its shard (config.session_key
   /// drives the session-hash policy: clients reusing a key stick to one
   /// shard; other policies ignore it). The stream's decoder config rides
-  /// the open command to its shard.
-  using Recognizer::open_stream;
-  /// Typed admission. kRejectedOverBudget: the stream carries a deadline
-  /// budget and even the shard the router would pick last published a
-  /// worst-stream lag beyond it (every shard is at least that far
-  /// behind, so the stream's frames would be shed on arrival).
+  /// the open command to its shard. Refusals are typed.
+  /// kRejectedOverBudget: the stream carries a deadline budget and even
+  /// the shard the router would pick last published a worst-stream lag
+  /// beyond it (every shard is at least that far behind, so the stream's
+  /// frames would be shed on arrival).
   /// kBackpressure: the target shard's ingress ring had no room for the
   /// open command (transient; the slot is recycled, nothing leaks).
   [[nodiscard]] OpenResult try_open_stream(const StreamConfig& config) override;
-  /// Pre-Recognizer compatibility surface: a keyed stream with NO
-  /// in-loop decoding, exactly the pre-redesign behavior — existing
-  /// logits-only callers (and their benchmark baselines) keep their
-  /// workload. New code passes a StreamConfig, where decoding defaults
-  /// on.
-  [[nodiscard]] StreamHandle open_stream(std::uint64_t session_key);
   /// Enqueues an audio chunk on the stream's shard without taking any
   /// engine lock. Returns false when the shard's ingress ring is full —
   /// backpressure the caller handles by retrying or dropping. Throws if

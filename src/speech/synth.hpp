@@ -89,7 +89,7 @@ class ZipfSampler {
   double skew_ = 0.0;
 };
 
-/// The traffic model bench_cache and the cache tests replay: a fixed
+/// The traffic model perfbench's local_repeat workload replays: a fixed
 /// pool of synthesized utterances hit with Zipf-distributed repetition.
 struct RepeatTrafficConfig {
   std::size_t distinct_utterances = 16;  // pool size (Zipf support)

@@ -462,8 +462,7 @@ TEST(ShardedPrecision, Int8ShardsServeBitIdenticalLogitsAndShrinkWeights) {
       }(),
       config);
   // At this toy size the 4-byte index metadata dominates, so assert the
-  // direction, not the asymptotic 4x ratio (bench_quantization reports
-  // the full-size ratio).
+  // direction, not the asymptotic 4x ratio.
   EXPECT_GT(engine.stats().weight_bytes, 0U);
   EXPECT_LT(engine.stats().weight_bytes, fp32_engine.stats().weight_bytes);
 }

@@ -14,12 +14,15 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "compiler/gru_executor.hpp"
 #include "rnn/model.hpp"
 #include "rnn/param_set.hpp"
+#include "runtime/clock.hpp"
+#include "runtime/inference_engine.hpp"
 #include "serve/local_recognizer.hpp"
 #include "serve/sharded_engine.hpp"
 #include "speech/decoder.hpp"
@@ -266,19 +269,22 @@ struct Deployment {
   std::unique_ptr<Recognizer> recognizer;
 };
 
-Deployment make_local(const ServeFixture& f) {
+Deployment make_local(const ServeFixture& f,
+                      const runtime::EngineConfig& engine = {}) {
   Deployment d;
   d.compiled = std::make_unique<CompiledSpeechModel>(*f.model, f.masks,
                                                      f.options, nullptr);
-  d.recognizer = std::make_unique<LocalRecognizer>(*d.compiled);
+  d.recognizer = std::make_unique<LocalRecognizer>(*d.compiled, engine);
   return d;
 }
 
-Deployment make_sharded(const ServeFixture& f, std::size_t shards) {
+Deployment make_sharded(const ServeFixture& f, std::size_t shards,
+                        const runtime::EngineConfig& engine = {}) {
   Deployment d;
   ShardConfig config;
   config.shards = shards;
   config.policy = serve::RoutePolicy::kRoundRobin;
+  config.engine = engine;
   d.recognizer =
       std::make_unique<ShardedEngine>(*f.model, f.masks, f.options, config);
   return d;
@@ -350,8 +356,9 @@ std::vector<std::uint16_t> batch_decode(const Matrix& logits,
 class RecognizerConformance
     : public ::testing::TestWithParam<std::size_t> {};  // 0 = local
 
-Deployment make_param_deployment(const ServeFixture& f, std::size_t shards) {
-  return shards == 0 ? make_local(f) : make_sharded(f, shards);
+Deployment make_param_deployment(const ServeFixture& f, std::size_t shards,
+                                 const runtime::EngineConfig& engine = {}) {
+  return shards == 0 ? make_local(f, engine) : make_sharded(f, shards, engine);
 }
 
 TEST_P(RecognizerConformance, FinalsMatchBatchDecodeAndEventsAreWellFormed) {
@@ -554,6 +561,55 @@ TEST_P(RecognizerConformance, TryOpenStreamAgreesWithOpenStreamWrapper) {
   EXPECT_EQ(typed_events, wrapped_events);
   EXPECT_TRUE(recognizer.close_stream(typed.handle));
   EXPECT_TRUE(recognizer.close_stream(wrapped));
+}
+
+TEST_P(RecognizerConformance, OpenTimeAdmissionRefusesOnlyOverBudgetOpens) {
+  // Deterministic overload: a manual clock lags the queued audio on
+  // every shard by 200 ms, past a 50 ms budget. ShardedEngine admits on
+  // the lag its pumps last published, so the shards are pumped by hand;
+  // LocalRecognizer reads its engine's lag at open time.
+  const ServeFixture f = make_fixture(16, 94);
+  runtime::ManualClock clock;
+  runtime::EngineConfig engine;
+  engine.clock = &clock;
+  Deployment d = make_param_deployment(f, GetParam(), engine);
+  Recognizer& recognizer = *d.recognizer;
+  auto* const sharded = dynamic_cast<ShardedEngine*>(&recognizer);
+  const std::size_t shards = sharded != nullptr ? sharded->shard_count() : 1;
+  const auto pump_every_shard = [&] {
+    for (std::size_t s = 0; sharded != nullptr && s < shards; ++s) {
+      sharded->pump_shard(s);
+    }
+  };
+
+  // Round-robin placement: one budget-free stream with queued audio per
+  // shard.
+  for (std::size_t s = 0; s < shards; ++s) {
+    const StreamHandle h = recognizer.open_stream(StreamConfig{});
+    ASSERT_TRUE(recognizer.submit_audio(h, random_waveform(8000, 60 + s)));
+  }
+  pump_every_shard();  // applies the audio at t = 0, serves one frame
+  clock.advance_us(200e3);
+  pump_every_shard();  // serves one more frame, publishes a 200 ms lag
+  for (std::size_t s = 0; sharded != nullptr && s < shards; ++s) {
+    ASSERT_GT(sharded->shard_lag_seconds(s), 0.05) << "shard " << s;
+  }
+
+  StreamConfig tight;
+  tight.deadline.budget_seconds = 0.05;
+  const serve::OpenResult refused = recognizer.try_open_stream(tight);
+  EXPECT_EQ(refused.status, serve::OpenStatus::kRejectedOverBudget);
+  EXPECT_FALSE(refused.ok());
+  // The throwing wrapper retries only backpressure; a refusal throws.
+  EXPECT_THROW((void)recognizer.open_stream(tight), std::runtime_error);
+
+  // Opens the lag does not threaten are still admitted.
+  EXPECT_EQ(recognizer.try_open_stream(StreamConfig{}).status,
+            serve::OpenStatus::kOk);
+  StreamConfig loose;
+  loose.deadline.budget_seconds = 1.0;
+  EXPECT_EQ(recognizer.try_open_stream(loose).status,
+            serve::OpenStatus::kOk);
 }
 
 TEST_P(RecognizerConformance, WaitForEventsReflectsPendingEvents) {

@@ -87,6 +87,15 @@ Matrix reference_logits(const ServeFixture& f,
       speech::MfccExtractor(streaming_mfcc_config()).extract(wave));
 }
 
+/// A keyed stream with in-loop decoding off: these tests compare logits
+/// only.
+serve::StreamConfig logits_only_stream(std::uint64_t session_key) {
+  serve::StreamConfig config;
+  config.decode = speech::StreamingDecoderConfig::none();
+  config.session_key = session_key;
+  return config;
+}
+
 StreamCommand audio_command(std::uint64_t stream,
                             std::vector<float> samples) {
   StreamCommand c;
@@ -430,7 +439,7 @@ TEST(ShardedEngine, MigrationFollowsSessionHashKey) {
   ShardedEngine engine(*f.model, f.masks, f.options, config);
 
   const std::uint64_t key = 777;
-  const StreamHandle h = engine.open_stream(key);
+  const StreamHandle h = engine.open_stream(logits_only_stream(key));
   const std::size_t home = engine.stream_shard(h);
   const std::vector<float> wave = random_waveform(8000, 3);
   ASSERT_TRUE(engine.submit_audio(
@@ -442,7 +451,8 @@ TEST(ShardedEngine, MigrationFollowsSessionHashKey) {
   const std::size_t away = engine.stream_shard(h);
   EXPECT_NE(away, home);
   // A fresh stream with the same key joins its migrated sibling.
-  EXPECT_EQ(engine.stream_shard(engine.open_stream(key)), away);
+  EXPECT_EQ(engine.stream_shard(engine.open_stream(logits_only_stream(key))),
+            away);
 }
 
 TEST(ShardedEngine, ThreadedPumpsServeConcurrentProducers) {
@@ -459,7 +469,7 @@ TEST(ShardedEngine, ThreadedPumpsServeConcurrentProducers) {
   std::vector<StreamHandle> handles;
   for (std::size_t s = 0; s < kStreams; ++s) {
     waves.push_back(random_waveform(5000 + 777 * s, 900 + s));
-    handles.push_back(engine.open_stream(/*session_key=*/s));
+    handles.push_back(engine.open_stream(logits_only_stream(s)));
   }
 
   engine.start();
