@@ -5,9 +5,38 @@
 #include <istream>
 #include <ostream>
 
+#include "tensor/fp32_lanes.hpp"
 #include "util/check.hpp"
 
 namespace rtmobile {
+namespace {
+
+#if defined(__AVX2__)
+/// Rows in lanes for S streams: y[s * y_stride + rows[i]] += sum_k
+/// tile[i][k] * g[s * g_stride + k] for every row i of a stripe block
+/// (the per-vector LRE inner loop). Eight rows share each broadcast
+/// g[k], and each transposed sub-tile serves all S streams.
+template <std::size_t S>
+void rows_in_lanes(const float* tile, std::size_t n_rows, std::size_t n_cols,
+                   const float* g, std::size_t g_stride,
+                   const std::uint32_t* rows, float* y, std::size_t y_stride) {
+  alignas(32) float lane[8];
+  for (std::size_t i = 0; i < n_rows; i += 8) {
+    const std::size_t count = std::min<std::size_t>(8, n_rows - i);
+    __m256 acc[S];
+    fp32_lanes::rows_dot8(tile + i * n_cols, n_cols, count, g, g_stride,
+                          n_cols, acc);
+    for (std::size_t s = 0; s < S; ++s) {
+      _mm256_store_ps(lane, acc[s]);
+      for (std::size_t l = 0; l < count; ++l) {
+        y[s * y_stride + rows[i + l]] += lane[l];
+      }
+    }
+  }
+}
+#endif
+
+}  // namespace
 
 BspcMatrix BspcMatrix::from_dense(const Matrix& weights,
                                   const BlockMask& mask) {
@@ -131,10 +160,10 @@ void BspcMatrix::spmm_stripe_list(const Matrix& x, Matrix& y,
       const std::uint32_t* cols = col_pool_.data() + ref.col_offset;
       const float* block_values = values_.data() + ref.value_offset;
       if (use_lre) {
-        // One gather of each stream's x per block, then every weight row
-        // is streamed once and dotted against all streams' panels. The
-        // inner accumulation is the exact per-vector LRE loop, so per
-        // stream the sum is bit-identical to spmv_stripe_list.
+        // One gather of each stream's x per block, then the weight tile
+        // is streamed once for all streams. Every (row, stream) sum is
+        // the exact per-vector LRE loop, so per stream the result is
+        // bit-identical to spmv_stripe_list.
         for (std::size_t b = 0; b < batch; ++b) {
           float* g = gather.data() + b * max_block_cols_;
           const float* xb = x.row(b).data();
@@ -142,6 +171,28 @@ void BspcMatrix::spmm_stripe_list(const Matrix& x, Matrix& y,
             g[k] = xb[cols[k]];
           }
         }
+#if defined(__AVX2__)
+        // Rows in lanes, up to four streams sharing each transposed
+        // sub-tile.
+        const std::uint32_t* rows = active_rows_.data() + row_lo;
+        for (std::size_t b = 0; b < batch;) {
+          const float* g = gather.data() + b * max_block_cols_;
+          float* yb = y.row(b).data();
+          if (batch - b >= 4) {
+            rows_in_lanes<4>(block_values, n_rows, ref.col_count, g,
+                             max_block_cols_, rows, yb, y.cols());
+            b += 4;
+          } else if (batch - b >= 2) {
+            rows_in_lanes<2>(block_values, n_rows, ref.col_count, g,
+                             max_block_cols_, rows, yb, y.cols());
+            b += 2;
+          } else {
+            rows_in_lanes<1>(block_values, n_rows, ref.col_count, g,
+                             max_block_cols_, rows, yb, y.cols());
+            b += 1;
+          }
+        }
+#else
         for (std::size_t i = 0; i < n_rows; ++i) {
           const float* vrow = block_values + i * ref.col_count;
           const std::size_t r = active_rows_[row_lo + i];
@@ -154,6 +205,7 @@ void BspcMatrix::spmm_stripe_list(const Matrix& x, Matrix& y,
             y.row(b)[r] += acc;
           }
         }
+#endif
       } else {
         for (std::size_t i = 0; i < n_rows; ++i) {
           const float* vrow = block_values + i * ref.col_count;
@@ -191,6 +243,11 @@ void BspcMatrix::process_stripe(std::span<const float> x, std::span<float> y,
         for (std::uint32_t k = 0; k < ref.col_count; ++k) {
           gathered[k] = x[cols[k]];
         }
+#if defined(__AVX2__)
+        rows_in_lanes<1>(block_values, n_rows, ref.col_count,
+                         gathered.data(), 0, active_rows_.data() + row_lo,
+                         y.data(), 0);
+#else
         for (std::size_t i = 0; i < n_rows; ++i) {
           const float* vrow = block_values + i * ref.col_count;
           float acc = 0.0F;
@@ -199,6 +256,7 @@ void BspcMatrix::process_stripe(std::span<const float> x, std::span<float> y,
           }
           y[active_rows_[row_lo + i]] += acc;
         }
+#endif
       } else {
         // Ablation path: every row re-gathers x through the index pool.
         for (std::size_t i = 0; i < n_rows; ++i) {

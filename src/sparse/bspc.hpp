@@ -49,10 +49,18 @@ class BspcMatrix {
 
   /// y = A x using the redundant-load-elimination schedule: the input
   /// values of a block are gathered once and reused by every active row.
+  ///
+  /// Every LRE kernel below computes each (row, block) partial sum as
+  /// acc = 0; acc = acc + v[k] * g[k] for k ascending, a separate
+  /// multiply and add, then adds it to y. AVX2 builds keep that order
+  /// exactly by giving each lane one whole sum (eight active rows per
+  /// register), so their results are bit-identical to the scalar
+  /// build's.
   void spmv(std::span<const float> x, std::span<float> y) const;
 
   /// y = A x indexing x per row (no LRE). Same result, used for the
-  /// compiler-ablation benchmark.
+  /// compiler-ablation benchmark. Always scalar, so the ablation's LRE
+  /// gap also includes the LRE kernels' SIMD lanes.
   void spmv_no_lre(std::span<const float> x, std::span<float> y) const;
 
   /// Processes stripes [stripe_begin, stripe_end) only, accumulating into
@@ -69,6 +77,9 @@ class BspcMatrix {
   /// (>= max_block_cols() floats when use_lre; may be empty otherwise) —
   /// caller-provided so the serving step path performs zero heap
   /// allocations per matvec. Concurrent calls need disjoint buffers.
+  /// With LRE on AVX2 the kernel runs rows in lanes: 8x8 sub-tiles of
+  /// each block's row-major tile are transposed in registers, so eight
+  /// active rows share each broadcast gathered input.
   void spmv_stripe_list(std::span<const float> x, std::span<float> y,
                         std::span<const std::uint32_t> stripes, bool use_lre,
                         std::span<float> gather) const;
@@ -87,6 +98,10 @@ class BspcMatrix {
   /// `gather` needs batch * max_block_cols() floats when use_lre
   /// (stream b's gathered panel lives at offset b * max_block_cols()).
   /// X/Y may have extra trailing rows beyond `batch`.
+  ///
+  /// With LRE on AVX2 the kernel runs rows in lanes like
+  /// spmv_stripe_list, with up to four streams sharing each transposed
+  /// sub-tile.
   void spmm_stripe_list(const Matrix& x, Matrix& y, std::size_t batch,
                         std::span<const std::uint32_t> stripes, bool use_lre,
                         std::span<float> gather) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "tensor/fp32_lanes.hpp"
 #include "util/check.hpp"
 
 namespace rtmobile {
@@ -33,6 +34,19 @@ void gemv(const Matrix& w, std::span<const float> x, std::span<float> y) {
   const std::size_t rows = w.rows();
   const std::size_t cols = w.cols();
   const float* base = w.data();
+#if defined(__AVX2__)
+  // Eight rows per register (rows in lanes), each lane summing in the
+  // scalar loop's order below, so both builds return the same bits.
+  alignas(32) float lane[8];
+  for (std::size_t r = 0; r < rows; r += 8) {
+    const std::size_t count = std::min<std::size_t>(8, rows - r);
+    __m256 acc[1];
+    fp32_lanes::rows_dot8(base + r * cols, cols, count, x.data(), 0, cols,
+                          acc);
+    _mm256_store_ps(lane, acc[0]);
+    std::copy_n(lane, count, y.begin() + static_cast<std::ptrdiff_t>(r));
+  }
+#else
   std::size_t r = 0;
   // Process four rows at a time so the x vector is streamed once per
   // group of rows instead of once per row.
@@ -63,6 +77,7 @@ void gemv(const Matrix& w, std::span<const float> x, std::span<float> y) {
     for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c];
     y[r] = acc;
   }
+#endif
 }
 
 void gemv_accumulate(const Matrix& w, std::span<const float> x,

@@ -15,8 +15,9 @@ namespace rtmobile {
 void gemv_naive(const Matrix& w, std::span<const float> x,
                 std::span<float> y);
 
-/// y = W x with 4-way row unrolling and a blocked column loop; the
-/// production dense kernel.
+/// y = W x, the production dense kernel: eight rows per AVX2 register
+/// when built with AVX2, else 4-way row unrolling. Every row keeps the
+/// scalar left-to-right sum, so both builds return the same bits.
 void gemv(const Matrix& w, std::span<const float> x, std::span<float> y);
 
 /// y += W x (accumulating variant used by the RNN cells).
