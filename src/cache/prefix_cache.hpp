@@ -13,20 +13,13 @@
 // entirely — restore the snapshot, emit the memoized row — and falls
 // through to plain compute on the first divergent frame.
 //
-// Keying is two-level, which is what makes skipping safe:
-//  - The *bucket* is a rolling hash over quantized feature frames,
-//    chained from a fingerprint of the stream's initial hidden state.
-//    Quantization makes the index key cheap and tolerant of the float
-//    noise that never survives quantization anyway; chaining means a
-//    bucket identifies a whole prefix, not one frame.
-//  - The *signature* is a 128-bit chained fingerprint over the exact bit
-//    patterns of the same frames. A lookup only hits when the signature
-//    matches exactly, so two prefixes that collide in the quantized
-//    bucket can never serve each other's results: the cache degrades to
-//    a miss (plain compute), never to a wrong output.
-// Both halves live in a PrefixCursor that each StreamingSession carries
-// and advances once per consumed frame, so they ride shard migration
-// with the stream.
+// The key is a 128-bit chained fingerprint over the exact bit patterns
+// of every frame consumed, seeded from the stream's initial hidden
+// state. Only an exact key match hits, so two prefixes never share an
+// entry: a prefix the cache does not hold is a miss (plain compute),
+// never a wrong output. The key lives in a PrefixCursor that each
+// StreamingSession carries and advances once per consumed frame, so it
+// rides shard migration with the stream.
 //
 // The cache only ever *skips* compute. Entries are written by the
 // compute path itself, every replica computes identical arithmetic, and
@@ -49,7 +42,6 @@
 #pragma once
 
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -61,22 +53,21 @@
 
 namespace rtmobile::cache {
 
-/// Mixes two words (splitmix64 over their combination); the rolling-hash
-/// chain step.
+/// Mixes two words (splitmix64 over their combination); hashes a
+/// cursor's 128-bit signature into one table index.
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t a,
                                             std::uint64_t b) {
   std::uint64_t state = a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 12));
   return splitmix64(state);
 }
 
-/// Where in prefix space one stream currently is: the rolling bucket
-/// hash, the exact 128-bit signature chain, and the frames folded in.
-/// Sessions carry one by value (it migrates with the stream) and the
-/// engine advances it once per consumed feature frame — on the compute
-/// path and the cache-hit path alike, so the chain always describes the
-/// frames the hidden state actually evolved through.
+/// Where in prefix space one stream currently is: the 128-bit signature
+/// chain and the frames folded in. Sessions carry one by value (it
+/// migrates with the stream) and the engine advances it once per
+/// consumed feature frame — on the compute path and the cache-hit path
+/// alike, so the chain always describes the frames the hidden state
+/// actually evolved through.
 struct PrefixCursor {
-  std::uint64_t bucket = 0;
   std::uint64_t sig_lo = 0;
   std::uint64_t sig_hi = 0;
   std::uint64_t depth = 0;  // feature frames folded into the chain
@@ -87,35 +78,27 @@ struct PrefixCursor {
   [[nodiscard]] static PrefixCursor from_state(
       std::span<const float> state) {
     PrefixCursor c;
-    c.bucket = 0x9E3779B97F4A7C15ULL;
     c.sig_lo = 0xCBF29CE484222325ULL;  // FNV-1a 64 offset basis
     c.sig_hi = 0x9E3779B185EBCA87ULL;
-    for (const float v : state) {
-      const auto bits = std::bit_cast<std::uint32_t>(v);
-      c.bucket = mix64(c.bucket, bits);
-      c.sig_lo = (c.sig_lo ^ bits) * 0x100000001B3ULL;
-      c.sig_hi = (c.sig_hi ^ bits) * 0xC2B2AE3D27D4EB4FULL;
-    }
+    c.fold(state);
     return c;
   }
 
-  /// Folds one feature frame into the chain. `quant_scale` buckets the
-  /// index hash (values within 1/quant_scale of each other quantize
-  /// together); the signature always takes the exact bit pattern.
-  void advance(std::span<const float> frame, float quant_scale) {
-    std::uint64_t b = bucket;
+  /// Folds one feature frame's exact bit pattern into the chain.
+  void advance(std::span<const float> frame) {
+    fold(frame);
+    ++depth;
+  }
+
+ private:
+  void fold(std::span<const float> values) {
     std::uint64_t lo = sig_lo;
     std::uint64_t hi = sig_hi;
-    for (const float v : frame) {
-      const auto q = static_cast<std::int64_t>(
-          std::llround(static_cast<double>(v) * quant_scale));
-      b = mix64(b, static_cast<std::uint64_t>(q));
+    for (const float v : values) {
       const auto bits = std::bit_cast<std::uint32_t>(v);
       lo = (lo ^ bits) * 0x100000001B3ULL;
       hi = (hi ^ bits) * 0xC2B2AE3D27D4EB4FULL;
     }
-    ++depth;
-    bucket = mix64(b, depth);
     sig_lo = lo;
     sig_hi = hi;
   }
@@ -129,15 +112,6 @@ struct CacheConfig {
   /// entry is never evicted by its own insert, so a budget smaller than
   /// one entry behaves as a 1-entry cache rather than caching nothing.
   std::size_t byte_budget = 64U << 20;
-  /// Feature quantization step reciprocal for the bucket key; larger =
-  /// finer buckets (fewer bucket collisions), smaller = coarser. Purely
-  /// an indexing knob — correctness rests on the exact signature.
-  float quant_scale = 1024.0F;
-  /// Consecutive frames one stream may serve from cache per scheduling
-  /// round (0 = unlimited: a fully cached utterance completes in one
-  /// round). A bound trades single-stream skip throughput for tighter
-  /// round latency when many cached streams share an engine.
-  std::size_t max_hit_burst = 0;
 };
 
 class PrefixCache {
@@ -147,39 +121,42 @@ class PrefixCache {
   PrefixCache(const PrefixCache&) = delete;
   PrefixCache& operator=(const PrefixCache&) = delete;
 
+  /// A prefix's 128-bit signature: the table key, compared in full.
+  struct Key {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    bool operator==(const Key&) const = default;
+  };
+
   struct Entry {
-    std::uint64_t sig_lo = 0;
-    std::uint64_t sig_hi = 0;
     std::vector<float> logits;  // the memoized per-step logits row
     std::vector<float> state;   // post-step hidden-state snapshot
-    std::list<std::uint64_t>::iterator lru;
+    std::list<Key>::iterator lru;
   };
 
   /// What an insert did, for the caller's counters.
   struct InsertResult {
-    std::size_t evicted = 0;      // entries evicted (budget or collision)
+    std::size_t evicted = 0;      // entries evicted by the byte budget
     std::size_t bytes_added = 0;  // net new bytes resident (0 on refresh)
   };
 
-  /// The entry for `key`'s prefix, or null. Null on a bucket miss *and*
-  /// on a signature mismatch (a quantized-bucket collision): the caller
-  /// must fall through to compute. A hit refreshes the entry's LRU
+  /// The entry for exactly `key`'s prefix, or null, in which case the
+  /// caller falls through to compute. A hit refreshes the entry's LRU
   /// position.
   [[nodiscard]] const Entry* lookup(const PrefixCursor& key);
 
   /// Second-sighting admission, asked before the compute path memoizes
   /// a step: true when `key`'s prefix is already cached or was offered
   /// before; otherwise records this first sighting and returns false.
-  /// A prefix whose slot another took in between waits one sighting
-  /// more; a slot collision never admits a wrong prefix.
+  /// A prefix whose first-sighting slot another took in between waits
+  /// one sighting more.
   [[nodiscard]] bool admit(const PrefixCursor& key);
 
   /// Memoizes one step: `logits` is the row the model just produced for
   /// the prefix `key` describes, `state` the flattened hidden state
-  /// after that step. Re-inserting an already-cached prefix refreshes
-  /// its LRU slot; a bucket collision with a different signature
-  /// replaces the old occupant (counted as an eviction). Evicts LRU
-  /// entries (never the one just inserted) until within budget.
+  /// after that step. Re-inserting an already-cached prefix only
+  /// refreshes its LRU slot. Evicts LRU entries (never the one just
+  /// inserted) until within budget.
   InsertResult insert(const PrefixCursor& key, std::span<const float> logits,
                       std::span<const float> state);
 
@@ -212,13 +189,17 @@ class PrefixCache {
   /// arithmetic is deterministic.
   static constexpr std::size_t kEntryOverhead = 128;
 
-  /// The cached entry holding exactly `key`'s prefix, or null.
-  [[nodiscard]] Entry* find_exact(const PrefixCursor& key);
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const {
+      return mix64(key.lo, key.hi);
+    }
+  };
+
   void evict_lru();
 
   CacheConfig config_;
-  std::unordered_map<std::uint64_t, Entry> map_;  // bucket -> entry
-  std::list<std::uint64_t> lru_;  // front = most recently used bucket
+  std::unordered_map<Key, Entry, KeyHash> map_;
+  std::list<Key> lru_;  // front = most recently used
   std::size_t bytes_ = 0;
   std::uint64_t evictions_ = 0;
   // Signature tag (sig_hi | 1, so 0 marks an empty slot) of the last

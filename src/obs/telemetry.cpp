@@ -71,12 +71,9 @@ Telemetry::Telemetry(std::size_t span_ring_capacity)
   cache_.misses = &registry_.counter(
       "rt_cache_misses_total",
       "Frames that fell through the prefix cache to model compute");
-  cache_.skipped_steps = &registry_.counter(
-      "rt_cache_skipped_steps_total",
-      "Model steps avoided by prefix-cache hits");
   cache_.evictions = &registry_.counter(
       "rt_cache_evictions_total",
-      "Prefix-cache entries evicted (byte budget or bucket collision)");
+      "Prefix-cache entries evicted by the byte budget");
   cache_.inserted_bytes = &registry_.counter(
       "rt_cache_bytes_total",
       "Cumulative bytes memoized into the prefix cache");

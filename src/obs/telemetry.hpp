@@ -65,10 +65,9 @@ struct NetMetrics {
 /// cells; resident_bytes sums shard residency at set time per engine —
 /// fleet residency is the StatsAggregator's merged cache_bytes.
 struct CacheMetrics {
-  Counter* hits = nullptr;           // == RuntimeStats::cache_hits
-  Counter* misses = nullptr;         // == RuntimeStats::cache_misses
-  Counter* skipped_steps = nullptr;  // == RuntimeStats::cache_skipped_steps
-  Counter* evictions = nullptr;      // == RuntimeStats::cache_evictions
+  Counter* hits = nullptr;            // == RuntimeStats::cache_hits
+  Counter* misses = nullptr;          // == RuntimeStats::cache_misses
+  Counter* evictions = nullptr;       // == RuntimeStats::cache_evictions
   Counter* inserted_bytes = nullptr;  // cumulative bytes memoized
   Gauge* resident_bytes = nullptr;    // current per-engine residency
 };

@@ -158,10 +158,7 @@ std::size_t InferenceEngine::serve_cached(double& audio_seconds) {
       telemetry != nullptr ? &telemetry->trace() : nullptr;
   std::size_t served = 0;
   for (const auto& session : sessions_) {
-    std::size_t burst = 0;
-    while (session->frame_ready() &&
-           (config_.cache.max_hit_burst == 0 ||
-            burst < config_.cache.max_hit_burst)) {
+    while (session->frame_ready()) {
       // The injection point makes a poisoned lookup indistinguishable
       // from a miss: the frame falls through to plain compute below.
       if (config_.fault != nullptr &&
@@ -170,7 +167,7 @@ std::size_t InferenceEngine::serve_cached(double& audio_seconds) {
         break;
       }
       cache::PrefixCursor next = session->prefix_cursor();
-      next.advance(session->front_frame(), config_.cache.quant_scale);
+      next.advance(session->front_frame());
       const cache::PrefixCache::Entry* entry = cache_->lookup(next);
       if (entry == nullptr) break;
       RT_SPAN(trace, kDecode, session->id());
@@ -183,13 +180,8 @@ std::size_t InferenceEngine::serve_cached(double& audio_seconds) {
       session->prefix_cursor() = next;
       audio_seconds += session->seconds_per_frame();
       ++served;
-      ++burst;
       stats_.cache_hits += 1;
-      stats_.cache_skipped_steps += 1;
-      if (telemetry != nullptr) {
-        telemetry->cache().hits->add(1);
-        telemetry->cache().skipped_steps->add(1);
-      }
+      if (telemetry != nullptr) telemetry->cache().hits->add(1);
     }
   }
   return served;
@@ -296,8 +288,7 @@ std::size_t InferenceEngine::step() {
       // Advance the prefix chain over the frame being consumed before it
       // is popped; the cursor then names the trajectory this row extends.
       if (cache_ != nullptr) {
-        active_[b]->prefix_cursor().advance(active_[b]->front_frame(),
-                                            config_.cache.quant_scale);
+        active_[b]->prefix_cursor().advance(active_[b]->front_frame());
       }
       active_[b]->append_logits(batch_logits_.row(b));
       active_[b]->pop_frame();

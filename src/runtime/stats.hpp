@@ -110,10 +110,7 @@ struct RuntimeStats {
   /// so hits + misses == frames_processed on a cache-enabled engine.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  /// Model steps skipped by cache hits (one per hit — kept as its own
-  /// counter because it is the compute-avoided metric dashboards track).
-  std::size_t cache_skipped_steps = 0;
-  /// Entries evicted by the cache's byte budget (or bucket collisions).
+  /// Entries evicted by the cache's byte budget.
   std::size_t cache_evictions = 0;
   /// Resident cache footprint in bytes (a level, republished after every
   /// round that touched the cache; merging sums shard residency).
@@ -174,7 +171,6 @@ struct RuntimeStats {
     rejected_streams += other.rejected_streams;
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;
-    cache_skipped_steps += other.cache_skipped_steps;
     cache_evictions += other.cache_evictions;
     cache_bytes += other.cache_bytes;
     fused_steps += other.fused_steps;
@@ -203,7 +199,6 @@ struct RuntimeStats {
     rejected_streams = 0;
     cache_hits = 0;
     cache_misses = 0;
-    cache_skipped_steps = 0;
     cache_evictions = 0;
     cache_bytes = 0;
     fused_steps = 0;

@@ -114,20 +114,17 @@ TEST(PrefixCursor, IdenticalChainsAgreeDifferentChainsDiverge) {
 
   PrefixCursor x = PrefixCursor::from_state(state);
   PrefixCursor y = PrefixCursor::from_state(state);
-  EXPECT_EQ(x.bucket, y.bucket);
   EXPECT_EQ(x.sig_lo, y.sig_lo);
   EXPECT_EQ(x.sig_hi, y.sig_hi);
 
-  x.advance(frame_a, 1024.0F);
-  y.advance(frame_a, 1024.0F);
-  EXPECT_EQ(x.bucket, y.bucket);
+  x.advance(frame_a);
+  y.advance(frame_a);
   EXPECT_EQ(x.sig_lo, y.sig_lo);
   EXPECT_EQ(x.sig_hi, y.sig_hi);
   EXPECT_EQ(x.depth, 1U);
 
   PrefixCursor z = PrefixCursor::from_state(state);
-  z.advance(frame_b, 1024.0F);
-  EXPECT_NE(x.bucket, z.bucket);
+  z.advance(frame_b);
   EXPECT_TRUE(x.sig_lo != z.sig_lo || x.sig_hi != z.sig_hi);
 }
 
@@ -137,25 +134,21 @@ TEST(PrefixCursor, InitialStateIsPartOfTheChain) {
   other[3] = 1e-3F;
   const PrefixCursor a = PrefixCursor::from_state(zero);
   const PrefixCursor b = PrefixCursor::from_state(other);
-  EXPECT_NE(a.bucket, b.bucket);
   EXPECT_TRUE(a.sig_lo != b.sig_lo || a.sig_hi != b.sig_hi);
 }
 
-TEST(PrefixCache, QuantBucketCollisionMissesOnSignature) {
-  // Two frames that quantize identically (same bucket) but differ in
-  // exact bits must never serve each other's results: the lookup is a
-  // miss, not a wrong hit.
-  const float quant = 8.0F;  // coarse: 1/8 quantization step
+TEST(PrefixCache, NearlyEqualFramesNeverServeEachOther) {
+  // Two frames a hair apart differ in exact bits, so each is its own
+  // prefix: with one cached, the other is a miss, not a wrong hit.
   std::vector<float> frame_a(4, 0.5F);
   std::vector<float> frame_b(4, 0.5F);
-  frame_b[0] = 0.5F + 1e-4F;  // same quantized value, different bits
+  frame_b[0] = 0.5F + 1e-4F;
 
   const std::vector<float> state(4, 0.0F);
   PrefixCursor a = PrefixCursor::from_state(state);
   PrefixCursor b = PrefixCursor::from_state(state);
-  a.advance(frame_a, quant);
-  b.advance(frame_b, quant);
-  ASSERT_EQ(a.bucket, b.bucket);  // the collision under test
+  a.advance(frame_a);
+  b.advance(frame_b);
   ASSERT_TRUE(a.sig_lo != b.sig_lo || a.sig_hi != b.sig_hi);
 
   CacheConfig config;
@@ -164,7 +157,35 @@ TEST(PrefixCache, QuantBucketCollisionMissesOnSignature) {
   const std::vector<float> logits = {1.0F, 2.0F};
   cache.insert(a, logits, state);
   EXPECT_NE(cache.lookup(a), nullptr);
-  EXPECT_EQ(cache.lookup(b), nullptr);  // collision degrades to a miss
+  EXPECT_EQ(cache.lookup(b), nullptr);
+}
+
+TEST(PrefixCache, KeysDifferingOnlyInHighWordBothStayResident) {
+  // The key is the whole 128-bit signature: two prefixes that share
+  // sig_lo are still distinct entries, each serving its own logits.
+  CacheConfig config;
+  config.enabled = true;
+  PrefixCache cache(config);
+  PrefixCursor a;
+  a.sig_lo = 0x1234;
+  a.sig_hi = 0xA000;
+  PrefixCursor b = a;
+  b.sig_hi = 0xB000;
+  const std::vector<float> state = {0.0F};
+  const std::vector<float> logits_a = {1.0F};
+  const std::vector<float> logits_b = {2.0F};
+
+  cache.insert(a, logits_a, state);
+  const PrefixCache::InsertResult second = cache.insert(b, logits_b, state);
+  EXPECT_EQ(second.evicted, 0U);
+  EXPECT_EQ(cache.entries(), 2U);
+  EXPECT_EQ(cache.evictions(), 0U);
+  const PrefixCache::Entry* hit_a = cache.lookup(a);
+  ASSERT_NE(hit_a, nullptr);
+  EXPECT_EQ(hit_a->logits, logits_a);
+  const PrefixCache::Entry* hit_b = cache.lookup(b);
+  ASSERT_NE(hit_b, nullptr);
+  EXPECT_EQ(hit_b->logits, logits_b);
 }
 
 // ------------------------------------------------------- cache mechanics
@@ -176,7 +197,7 @@ TEST(PrefixCache, InsertLookupRoundTrip) {
   const std::vector<float> state = {0.25F, -0.5F};
   const std::vector<float> logits = {3.0F, 1.0F, 2.0F};
   PrefixCursor key = PrefixCursor::from_state(state);
-  key.advance(logits, config.quant_scale);
+  key.advance(logits);
 
   const PrefixCache::InsertResult inserted =
       cache.insert(key, logits, state);
@@ -210,7 +231,7 @@ TEST(PrefixCache, ByteBudgetEvictsLeastRecentlyUsed) {
   for (float v = 1.0F; v <= 4.0F; v += 1.0F) {
     PrefixCursor key = PrefixCursor::from_state(state);
     const std::vector<float> frame = {v};
-    key.advance(frame, config.quant_scale);
+    key.advance(frame);
     keys.push_back(key);
   }
   cache.insert(keys[0], row, state);
@@ -238,10 +259,10 @@ TEST(PrefixCache, BudgetBelowOneEntryDegradesToOneEntry) {
 
   PrefixCursor a = PrefixCursor::from_state(state);
   const std::vector<float> fa = {1.0F};
-  a.advance(fa, config.quant_scale);
+  a.advance(fa);
   PrefixCursor b = PrefixCursor::from_state(state);
   const std::vector<float> fb = {2.0F};
-  b.advance(fb, config.quant_scale);
+  b.advance(fb);
 
   cache.insert(a, row, state);
   EXPECT_EQ(cache.entries(), 1U);  // never evicts the just-inserted entry
@@ -259,7 +280,7 @@ TEST(PrefixCache, AdmitsOnSecondSighting) {
   const std::vector<float> state = {0.0F};
   const std::vector<float> row = {1.0F};
   PrefixCursor key = PrefixCursor::from_state(state);
-  key.advance(row, config.quant_scale);
+  key.advance(row);
 
   EXPECT_FALSE(cache.admit(key));  // first sighting: remembered only
   EXPECT_TRUE(cache.admit(key));   // second: admitted
@@ -267,18 +288,16 @@ TEST(PrefixCache, AdmitsOnSecondSighting) {
 
   // A cached prefix is admitted on its first offer (insert refreshes it).
   PrefixCursor cached = key;
-  cached.advance(row, config.quant_scale);
+  cached.advance(row);
   cache.insert(cached, row, state);
   EXPECT_TRUE(cache.admit(cached));
 
   // Two prefixes sharing one slot overwrite each other's sighting, so
   // A, B, A admits neither.
   PrefixCursor a;
-  a.bucket = 1;
   a.sig_lo = 12345;
   a.sig_hi = 0xA000;
   PrefixCursor b;
-  b.bucket = 2;
   b.sig_lo = a.sig_lo + PrefixCache::kDoorkeeperSlots;
   b.sig_hi = 0xB000;
   EXPECT_FALSE(cache.admit(a));
@@ -328,7 +347,6 @@ TEST(CacheEngine, ReplayIsBitwiseIdenticalAndSkipsAllCompute) {
   EXPECT_EQ(first_events, cold_events);
   EXPECT_EQ(engine.stats().cache_hits, frames);      // every frame hit
   EXPECT_EQ(engine.stats().cache_misses, 2 * frames);
-  EXPECT_EQ(engine.stats().cache_skipped_steps, frames);
   // The accounting identity a cache-enabled engine maintains.
   EXPECT_EQ(engine.stats().cache_hits + engine.stats().cache_misses,
             engine.stats().frames_processed);
@@ -495,13 +513,11 @@ TEST(RuntimeStats, CacheCountersMergeAcrossShards) {
   runtime::RuntimeStats a;
   a.cache_hits = 10;
   a.cache_misses = 30;
-  a.cache_skipped_steps = 10;
   a.cache_evictions = 2;
   a.cache_bytes = 1000;
   runtime::RuntimeStats b;
   b.cache_hits = 5;
   b.cache_misses = 5;
-  b.cache_skipped_steps = 5;
   b.cache_evictions = 1;
   b.cache_bytes = 500;
 
@@ -510,7 +526,6 @@ TEST(RuntimeStats, CacheCountersMergeAcrossShards) {
   merged.merge_from(b);
   EXPECT_EQ(merged.cache_hits, 15U);
   EXPECT_EQ(merged.cache_misses, 35U);
-  EXPECT_EQ(merged.cache_skipped_steps, 15U);
   EXPECT_EQ(merged.cache_evictions, 3U);
   EXPECT_EQ(merged.cache_bytes, 1500U);  // residency sums across shards
   EXPECT_NEAR(merged.cache_hit_rate(), 0.3, 1e-12);

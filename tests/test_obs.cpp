@@ -639,8 +639,6 @@ TEST(ObsE2E, CacheCountersOnLiveScrapeMatchMergedStats) {
             stats.merged.cache_hits);
   EXPECT_EQ(counter_value(body, "rt_cache_misses_total"),
             stats.merged.cache_misses);
-  EXPECT_EQ(counter_value(body, "rt_cache_skipped_steps_total"),
-            stats.merged.cache_skipped_steps);
   EXPECT_EQ(counter_value(body, "rt_cache_evictions_total"),
             stats.merged.cache_evictions);
   EXPECT_GT(counter_value(body, "rt_cache_bytes_total"), 0U);

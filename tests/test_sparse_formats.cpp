@@ -1,4 +1,4 @@
-// Unit tests for sparse storage formats: CSR, CSC, BSPC, bank-balanced,
+// Unit tests for sparse storage formats: CSR, BSPC, bank-balanced,
 // block-circulant — round trips, SpMV agreement with the dense oracle,
 // and the memory-footprint claims BSPC makes against CSR.
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include "sparse/bank_balanced.hpp"
 #include "sparse/block_circulant.hpp"
 #include "sparse/bspc.hpp"
-#include "sparse/csc.hpp"
 #include "sparse/csr.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
@@ -116,21 +115,6 @@ TEST(Csr, RowNnz) {
   EXPECT_EQ(csr.row_nnz(0), 1U);
   EXPECT_EQ(csr.row_nnz(1), 2U);
   EXPECT_THROW(static_cast<void>(csr.row_nnz(2)), std::invalid_argument);
-}
-
-// ------------------------------------------------------------------- CSC
-TEST(Csc, RoundTripAndSpmv) {
-  const Matrix dense = random_sparse(21, 13, 0.3, 5);
-  const CscMatrix csc = CscMatrix::from_dense(dense);
-  EXPECT_EQ(csc.nnz(), dense.count_nonzero());
-  EXPECT_EQ(csc.to_dense(), dense);
-
-  const Vector x = random_vector(13, 6);
-  Vector expected(21);
-  Vector actual(21);
-  gemv_naive(dense, x.span(), expected.span());
-  csc.spmv(x.span(), actual.span());
-  EXPECT_LT(max_abs_diff(expected.span(), actual.span()), 1e-4F);
 }
 
 // ------------------------------------------------------------------ BSPC
