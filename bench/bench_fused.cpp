@@ -1,18 +1,22 @@
-// Fused batched-step benchmark: the per-stream matvec baseline vs the
-// fused batched-matmat spine, swept over batch width x precision x
-// sparsity on the paper's full-size GRU (153 -> 1024 -> 1024 -> 39).
+// Batched-step benchmark: each stream served alone vs the whole batch in
+// one step, swept over batch width x precision x sparsity on the paper's
+// full-size GRU (153 -> 1024 -> 1024 -> 39).
 //
-// Both sides of every cell run the identical step_batch driver; the only
-// difference is CompilerOptions::fused (kNever = the historical
-// per-stream path, kAlways = the fused spine). Per cell: steady-state
-// aggregate frames/s and the fused/baseline speedup. The headline cell
-// — int8 packed weights + int8 activations at width >= 8 — is where the
-// fused step amortizes each weight matrix's traffic across the whole
-// batch AND runs code-by-code integer dot products. The sweep is
-// emitted as fused.json (a CI artifact).
+// Both sides of every cell drive the same compiled model through
+// step_batch; the only difference is the width. The baseline steps each
+// of the `width` streams in its own width-1 step_batch ("served alone":
+// one stream's matvecs, threaded inside LayerPlan::execute), the fused
+// side steps all of them in one batch (each weight matrix driven once
+// per layer per round). Per cell: steady-state aggregate frames/s and
+// the fused/baseline speedup. The headline cell — int8 packed weights +
+// int8 activations at width >= 8 — is where the batched step amortizes
+// each weight matrix's traffic across the whole batch AND runs
+// code-by-code integer dot products. The sweep is emitted as fused.json
+// (a CI artifact).
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,13 +68,11 @@ BenchSetup build_model(const ModelConfig& config, double keep) {
 
 std::unique_ptr<CompiledSpeechModel> compile(const BenchSetup& setup,
                                              const PrecisionCase& precision,
-                                             FusedMode mode,
                                              ThreadPool* pool) {
   CompilerOptions options;
   options.format = SparseFormat::kBspc;
   options.precision = precision.weights;
   options.activation = precision.activations;
-  options.fused = mode;
   if (pool != nullptr) options.threads = pool->thread_count();
   return std::make_unique<CompiledSpeechModel>(*setup.model, setup.masks,
                                                options, pool);
@@ -81,12 +83,13 @@ struct CellResult {
   bool fused = false;  // what the dispatch actually ran
 };
 
-/// Steady-state step_batch throughput at a fixed batch width: `width`
-/// streams advanced `rounds` timesteps on a shared random frame batch
-/// (weight traffic per round is what the cell measures; the frame
-/// content is irrelevant).
+/// Steady-state step_batch throughput of `width` streams advanced
+/// `rounds` timesteps on a shared random frame batch (weight traffic per
+/// round is what the cell measures; the frame content is irrelevant).
+/// `alone` steps each stream in its own width-1 step_batch per round
+/// instead of all of them in one.
 CellResult measure(const CompiledSpeechModel& m, std::size_t width,
-                   std::size_t rounds) {
+                   std::size_t rounds, bool alone) {
   Rng rng(99);
   Matrix features(width, m.config().input_dim);
   fill_normal(features.span(), rng, 1.0F);
@@ -94,15 +97,21 @@ CellResult measure(const CompiledSpeechModel& m, std::size_t width,
   std::vector<StreamState> states(width, m.make_state());
   std::vector<StreamState*> ptrs;
   for (StreamState& s : states) ptrs.push_back(&s);
+  const std::span<StreamState* const> all(ptrs);
 
   CellResult result;
-  for (std::size_t warm = 0; warm < 3; ++warm) {
-    result.fused = m.step_batch(features, ptrs, logits).fused;
-  }
+  const auto round = [&] {
+    if (!alone) return m.step_batch(features, all, logits).fused;
+    bool fused = false;
+    for (std::size_t b = 0; b < width; ++b) {
+      // Row 0 of the shared batch is every lone stream's frame.
+      fused = m.step_batch(features, all.subspan(b, 1), logits).fused;
+    }
+    return fused;
+  };
+  for (std::size_t warm = 0; warm < 3; ++warm) result.fused = round();
   WallTimer timer;
-  for (std::size_t r = 0; r < rounds; ++r) {
-    m.step_batch(features, ptrs, logits);
-  }
+  for (std::size_t r = 0; r < rounds; ++r) round();
   const double wall_us = timer.elapsed_us();
   if (wall_us > 0.0) {
     result.frames_per_sec =
@@ -141,7 +150,7 @@ int main(int argc, char** argv) {
       quick ? ModelConfig::scaled(192) : ModelConfig::paper_full_size();
 
   std::printf(
-      "Fused batched step vs per-stream matvecs: %zu->%zux%zu->%zu "
+      "Batched step vs each stream served alone: %zu->%zux%zu->%zu "
       "keep=%.2f threads=%zu%s\n\n",
       config.input_dim, config.hidden_dim, config.num_layers,
       config.num_classes, keep, threads, quick ? " (quick)" : "");
@@ -164,14 +173,11 @@ int main(int argc, char** argv) {
                "speedup"});
   const BenchSetup setup = build_model(config, keep);
   for (const PrecisionCase& precision : precisions) {
-    const auto baseline =
-        compile(setup, precision, FusedMode::kNever, pool.get());
-    const auto fused =
-        compile(setup, precision, FusedMode::kAlways, pool.get());
+    const auto model = compile(setup, precision, pool.get());
     for (const std::size_t width : widths) {
       const std::size_t rounds = std::max<std::size_t>(12, frames / width);
-      const CellResult base = measure(*baseline, width, rounds);
-      const CellResult fast = measure(*fused, width, rounds);
+      const CellResult base = measure(*model, width, rounds, true);
+      const CellResult fast = measure(*model, width, rounds, false);
       const double speedup = base.frames_per_sec > 0.0
                                  ? fast.frames_per_sec / base.frames_per_sec
                                  : 0.0;
@@ -189,6 +195,7 @@ int main(int argc, char** argv) {
       record.set("threads", static_cast<std::int64_t>(threads));
       record.set("hidden", static_cast<std::int64_t>(config.hidden_dim));
       record.set("rounds", static_cast<std::int64_t>(rounds));
+      record.set("baseline", "served_alone");
       record.set("fused_dispatched", fast.fused);
       record.set("baseline_frames_per_sec", base.frames_per_sec);
       record.set("fused_frames_per_sec", fast.frames_per_sec);
@@ -204,12 +211,9 @@ int main(int argc, char** argv) {
     const std::size_t rounds = std::max<std::size_t>(12, frames / width);
     for (const double sweep_keep : {0.1, 0.25, 0.5}) {
       const BenchSetup sparse = build_model(config, sweep_keep);
-      const auto baseline = compile(sparse, precisions.back(),
-                                    FusedMode::kNever, pool.get());
-      const auto fused = compile(sparse, precisions.back(),
-                                 FusedMode::kAlways, pool.get());
-      const CellResult base = measure(*baseline, width, rounds);
-      const CellResult fast = measure(*fused, width, rounds);
+      const auto model = compile(sparse, precisions.back(), pool.get());
+      const CellResult base = measure(*model, width, rounds, true);
+      const CellResult fast = measure(*model, width, rounds, false);
       const double speedup = base.frames_per_sec > 0.0
                                  ? fast.frames_per_sec / base.frames_per_sec
                                  : 0.0;
@@ -222,6 +226,7 @@ int main(int argc, char** argv) {
       JsonRecord record;
       record.set("section", "sparsity_sweep");
       record.set("precision", precisions.back().name);
+      record.set("baseline", "served_alone");
       record.set("width", static_cast<std::int64_t>(width));
       record.set("keep", sweep_keep);
       record.set("threads", static_cast<std::int64_t>(threads));
@@ -234,12 +239,14 @@ int main(int argc, char** argv) {
 
   std::printf("%s\n", table.to_string().c_str());
   std::printf(
-      "baseline = the same step_batch driver compiled with fused=never "
-      "(per-stream matvecs, streams partitioned across the pool); fused "
-      "= fused=always (each weight matrix driven once per layer per "
-      "round over the whole batch). fp32 rows are bit-identical by "
+      "baseline = each stream served alone: its own width-1 step_batch "
+      "per round (one stream's matvecs, threaded across plan rows); "
+      "fused = all streams in one step_batch (each weight matrix driven "
+      "once per layer per round over the whole batch). Width-1 cells "
+      "run the same step on both sides. fp32 rows are bit-identical by "
       "construction (tests/test_fused.cpp); int8+act8 additionally "
-      "quantizes the activation panels to int8 codes.\n");
+      "quantizes the activation panels to int8 codes at widths above "
+      "1.\n");
 
   report.write_file("fused.json");
   std::printf("wrote fused.json (%zu records)\n", report.size());

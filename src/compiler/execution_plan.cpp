@@ -42,15 +42,6 @@ const char* to_string(SparseFormat format) {
   return "?";
 }
 
-const char* to_string(FusedMode mode) {
-  switch (mode) {
-    case FusedMode::kAuto: return "auto";
-    case FusedMode::kAlways: return "always";
-    case FusedMode::kNever: return "never";
-  }
-  return "?";
-}
-
 LayerPlan LayerPlan::compile(const Matrix& weights, const BlockMask* mask,
                              const CompilerOptions& options) {
   RT_REQUIRE(options.threads >= 1, "compile: threads must be positive");
@@ -222,6 +213,12 @@ void LayerPlan::execute_batch(const Matrix& x, Matrix& y, std::size_t batch,
              "execute_batch: panel shape mismatch");
   RT_REQUIRE(batch <= x.rows() && batch <= y.rows(),
              "execute_batch: batch exceeds panel");
+  // One fp32 stream is a matvec: the per-vector kernels, threaded
+  // across the plan's rows instead of across streams.
+  if (batch == 1 && xq == nullptr) {
+    execute(x.row(0), y.row(0), pool, scratch);
+    return;
+  }
   // The whole batch's work amortizes one dispatch, so the threading
   // heuristic scales the per-matvec floor by the batch width.
   const bool threaded = pool != nullptr && options_.threads > 1 &&

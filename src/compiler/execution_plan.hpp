@@ -33,17 +33,6 @@ enum class SparseFormat : std::uint8_t {
 
 [[nodiscard]] const char* to_string(SparseFormat format);
 
-/// Whether the compiled model's step_batch drives the fused batched
-/// matmat spine (one weight stream per layer per step for the whole
-/// batch) or the per-stream matvec path.
-enum class FusedMode : std::uint8_t {
-  kAuto,    // fuse when the batch is at least min_fused_batch wide
-  kAlways,  // fuse every batch that fits the panel (width 1 included)
-  kNever,   // always per-stream (no fused scratch is even allocated)
-};
-
-[[nodiscard]] const char* to_string(FusedMode mode);
-
 struct CompilerOptions {
   SparseFormat format = SparseFormat::kBspc;
   bool reorder = true;       // matrix reorder pass (BSPC only)
@@ -67,17 +56,8 @@ struct CompilerOptions {
   /// pool honors it (the sharded serving layer pins each engine replica's
   /// pool to a disjoint range so shards don't contend for cores).
   std::optional<CoreRange> core_range;
-  /// Fused batched step dispatch (see FusedMode). kAuto keeps width-1
-  /// traffic on the per-stream path where it is strictly cheaper.
-  FusedMode fused = FusedMode::kAuto;
-  /// kAuto fuses batches at least this wide; narrower ones fall back to
-  /// the per-stream matvec path.
-  std::size_t min_fused_batch = 2;
-  /// Fused panel capacity, fixed at compile time so the serving step
-  /// never allocates: batches wider than this fall back to per-stream
-  /// (the engine's max_batch is normally <= this).
-  std::size_t max_fused_batch = 64;
-  /// Activation storage inside the fused step. kInt8 only takes effect
+  /// Activation storage inside a batched step (width > 1; a width-1
+  /// step and infer() keep fp32 activations). kInt8 only takes effect
   /// on int8 weight plans (packed dense / packed BSPC), where the
   /// matmat multiplies codes by codes with exact int32 accumulation;
   /// fp32/fp16 plans always read the fp32 panel.
@@ -127,21 +107,23 @@ class LayerPlan {
   /// single-threaded execution. y must not alias x. `scratch` supplies
   /// the BSPC kernels' LRE gather buffers; nullptr falls back to a local
   /// allocation (fine for one-shot callers; the serving step path passes
-  /// its per-slot scratch so no matvec allocates). A scratch instance
+  /// its panel scratch so no matvec allocates). A scratch instance
   /// must not be shared by concurrent execute() calls.
   void execute(std::span<const float> x, std::span<float> y,
                ThreadPool* pool = nullptr,
                LreScratch* scratch = nullptr) const;
 
-  /// Y[b] = W X[b] for b in [0, batch): the fused batched form. Each
-  /// weight matrix is streamed from memory once for the whole batch
-  /// (the per-stream path re-reads it once per vector). Per stream the
-  /// fp32/fp16 result is bit-identical to execute() on that stream's
-  /// row — the batched kernels keep the per-vector accumulation order
-  /// and the fp32 dense/CSR paths literally run the per-vector kernel
-  /// per row, threading across streams instead of rows. X/Y may have
-  /// extra trailing rows. `xq`, when non-null and the plan stores int8
-  /// weights, supplies the batch's activations on the int8 grid and
+  /// Y[b] = W X[b] for b in [0, batch): the batched form every compiled
+  /// GRU step runs. Each weight matrix is streamed from memory once for
+  /// the whole batch (one matvec per stream would re-read it once per
+  /// vector). Per stream the fp32/fp16 result is bit-identical to
+  /// execute() on that stream's row — the batched kernels keep the
+  /// per-vector accumulation order and the fp32 dense/CSR paths
+  /// literally run the per-vector kernel per row, threading across
+  /// streams instead of rows. `batch` == 1 without `xq` is execute() on
+  /// row 0, threaded across the plan's rows. X/Y may have extra trailing
+  /// rows. `xq`, when non-null and the plan stores int8 weights,
+  /// supplies the batch's activations on the int8 grid and
   /// switches the kernel to exact int32 code-by-code accumulation
   /// (within the activation grid's rounding slack of the fp32 panel);
   /// other plans ignore it and read X. A scratch instance must not be

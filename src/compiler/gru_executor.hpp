@@ -34,9 +34,10 @@ struct StreamState {
 };
 
 /// What one step_batch dispatch actually ran: the compute width (streams
-/// advanced) and whether it went through the fused batched-matmat spine
-/// or the per-stream matvec fallback. The engine mirrors this into
-/// RuntimeStats / telemetry (rt_fused_steps_total etc.).
+/// advanced) and whether that width was batched (width > 1: every weight
+/// matrix driven once over a multi-row panel) or a single stream's
+/// matvecs. The engine mirrors this into RuntimeStats / telemetry
+/// (rt_fused_steps_total etc.).
 struct StepResult {
   std::size_t width = 0;
   bool fused = false;
@@ -53,7 +54,10 @@ class CompiledSpeechModel {
                       const CompilerOptions& options,
                       ThreadPool* pool = nullptr);
 
-  /// Per-frame logits for an utterance (T x input_dim) -> (T x classes).
+  /// Per-frame logits for an utterance (T x input_dim) -> (T x classes),
+  /// stepped frame by frame as a width-1 batch in panels of its own, so
+  /// it may run beside a step_batch on the same model (when the model
+  /// has a pool, that pool still takes one caller at a time).
   [[nodiscard]] Matrix infer(const Matrix& features) const;
 
   /// Fresh zero-initialized recurrent state for one stream.
@@ -64,33 +68,34 @@ class CompiledSpeechModel {
   /// its recurrence (updated in place), and row b of `logits` receives its
   /// per-frame class scores. `features`/`logits` may have extra trailing
   /// rows (callers reuse grow-only buffers across fluctuating batch
-  /// sizes). Streams are partitioned across the thread pool (cross-stream
-  /// parallelism replaces intra-matvec threading), and each stream
-  /// computes exactly the arithmetic of infer(), so chunked streaming
-  /// output is bit-identical to whole-utterance inference.
+  /// sizes).
   ///
-  /// Chunk workers reuse per-slot StepScratch buffers cached on the model,
-  /// so one engine driving step_batch is allocation-free per timestep; as
-  /// a consequence step_batch must not be called concurrently on the same
-  /// CompiledSpeechModel (each serving shard owns its own instance).
+  /// Every width runs the one panel spine: each layer gathers the batch's
+  /// hidden states into a contiguous panel and drives each weight matrix
+  /// ONCE over all streams (LayerPlan::execute_batch), then runs each
+  /// stream row through the shared gate kernels (compiler/gru_gates.hpp).
+  /// Width 1 is the same spine on one row; its matvecs thread inside
+  /// LayerPlan::execute, exactly as infer() does. The panel's row order
+  /// is the order of `states` (the caller's scheduler-gather order) and
+  /// is part of the numerics contract: fp32/fp16 output is bit-identical
+  /// per stream to infer(), independent of batch composition, because
+  /// every per-stream accumulation keeps its per-vector order. Under
+  /// ActivationPrecision::kInt8 (int8 weights), widths above 1 quantize
+  /// the activation panels; width 1 keeps fp32 activations.
   ///
-  /// Dispatch: when CompilerOptions::fused admits the batch width (see
-  /// FusedMode), the step runs the fused spine — every layer gathers the
-  /// batch's hidden states into one contiguous panel and drives each
-  /// weight matrix ONCE over all streams (batched matmat) instead of
-  /// once per stream. The panel's row order is the order of `states`
-  /// (the caller's scheduler-gather order) and is part of the numerics
-  /// contract: fp32/fp16 fused output is bit-identical to the
-  /// per-stream path per stream, independent of batch composition,
-  /// because every per-stream accumulation keeps its per-vector order.
-  /// Returns what ran so callers can account fused vs fallback steps.
+  /// The panels live on the model, pre-sized for kPresizedStreams streams
+  /// and grown once for a wider batch, so one engine driving step_batch
+  /// is allocation-free per timestep; as a consequence step_batch must
+  /// not be called concurrently on the same CompiledSpeechModel (each
+  /// serving shard owns its own instance).
   StepResult step_batch(const Matrix& features,
                         std::span<StreamState* const> states,
                         Matrix& logits) const;
 
-  /// Runs only the recurrent stack for `frames` timesteps on zero input —
-  /// the steady-state inference kernel that Table II times. `batch` > 1
-  /// measures the batched multi-stream path (one state per stream).
+  /// Runs only the recurrent stack for `frames` timesteps on constant
+  /// input — the steady-state inference kernel that Table II times —
+  /// over `batch` streams on the same spine as step_batch, in panels of
+  /// its own.
   void run_recurrence(std::size_t frames, std::size_t batch = 1) const;
 
   /// Total surviving weights across all compiled plans.
@@ -125,59 +130,33 @@ class CompiledSpeechModel {
     Vector b_z, b_r, b_h;
   };
 
-  /// Hidden-sized scratch buffers for one stream's step_layer calls;
-  /// `h_next` is the staging vector step_stream swaps layer states
-  /// through, and `lre` carries the BSPC kernels' gather buffers — both
-  /// hoisted here to keep the serving hot path allocation-free (the
-  /// model ctor pre-sizes `lre` to the widest plan's need).
-  struct StepScratch {
-    explicit StepScratch(std::size_t hidden)
-        : a(hidden), b(hidden), c(hidden), d(hidden), h_next(hidden) {}
-    Vector a, b, c, d, h_next;
-    LreScratch lre;
-  };
+  /// Streams the serving panels hold before their first growth.
+  static constexpr std::size_t kPresizedStreams = 64;
 
-  /// Panels and quantized-activation buffers for the fused batched
-  /// step, pre-sized at compile time to max_fused_batch so the serving
-  /// step path is allocation-free. Row b of every panel belongs to
-  /// stream b of the dispatched batch (states order). `h` holds the
-  /// gathered previous hidden states; `out0`/`out1` alternate as each
-  /// layer's output panel (the next layer's input); `a`..`d` mirror
-  /// StepScratch's gate buffers, one row per stream. `xq`/`hq`/`gq`
-  /// carry the int8 activation codes for the input, hidden, and (r.h)
-  /// panels when the int8 activation path is on.
-  struct FusedScratch {
-    FusedScratch(std::size_t capacity, std::size_t hidden)
-        : h(capacity, hidden), out0(capacity, hidden), out1(capacity, hidden),
-          a(capacity, hidden), b(capacity, hidden), c(capacity, hidden),
-          d(capacity, hidden) {}
+  /// Row-per-stream panels and quantized-activation buffers for one
+  /// advance_layers caller. Row b of every panel belongs to stream b of
+  /// the dispatched batch (states order). `h` holds the gathered
+  /// previous hidden states; `out0`/`out1` alternate as each layer's
+  /// output panel (the next layer's input); `a`..`d` are the gate
+  /// buffers. `xq`/`hq`/`gq` carry the int8 activation codes for the
+  /// input, hidden, and (r.h) panels when the int8 activation path is on.
+  struct Panels {
+    std::size_t capacity = 0;
     Matrix h, out0, out1, a, b, c, d;
     QuantizedActivations xq, hq, gq;
     LreScratch lre;
   };
 
-  /// One GRU timestep of one stream. `pool` threads the individual
-  /// matvecs (nullptr = single-threaded, the mode the batched path uses
-  /// because it parallelizes across streams instead).
-  void step_layer(const CompiledLayer& layer, std::span<const float> x,
-                  std::span<const float> h_prev, std::span<float> h_out,
-                  StepScratch& scratch, ThreadPool* pool) const;
+  /// Sizes `panels` (and their kernel scratch) for `capacity` streams.
+  void size_panels(Panels& panels, std::size_t capacity) const;
 
-  /// True when this batch width should take the fused spine.
-  [[nodiscard]] bool use_fused(std::size_t batch) const;
-
-  /// The fused batched step: per layer, gather hidden panels, drive each
-  /// weight matrix once over the whole batch, run each stream row through
-  /// the same gate kernels as step_layer (compiler/gru_gates.hpp),
-  /// scatter the new hidden states back.
-  StepResult step_batch_fused(const Matrix& features,
-                              std::span<StreamState* const> states,
-                              Matrix& logits) const;
-
-  /// Advances every layer of one stream and writes its logits row.
-  void step_stream(std::span<const float> frame, StreamState& state,
-                   std::span<float> logits, StepScratch& scratch,
-                   ThreadPool* pool) const;
+  /// Advances every GRU layer of `states` by one timestep, with row b of
+  /// `features` as stream b's input. Returns the top layer's output
+  /// panel (row b = stream b's new top hidden state), which lives in
+  /// `panels`.
+  const Matrix& advance_layers(const Matrix& features,
+                               std::span<StreamState* const> states,
+                               Panels& panels) const;
 
   ModelConfig config_;
   CompilerOptions options_;
@@ -185,20 +164,13 @@ class CompiledSpeechModel {
   LayerPlan fc_;
   Vector fc_b_;
   ThreadPool* pool_;
-  /// One StepScratch per step_batch chunk slot (pool thread count entries,
-  /// built eagerly so hot-path access never mutates the vector). Chunk w
-  /// of a parallel_for_indexed job uses slot w; slots are never shared
-  /// within a job, which is what makes the batched path allocation-free
-  /// per timestep instead of building a scratch per chunk per step.
-  std::vector<std::unique_ptr<StepScratch>> step_scratch_;
-  /// Fused-step panels; null when options_.fused == kNever (the mode's
-  /// promise that no fused memory exists). unique_ptr so const member
-  /// functions can fill the panels (scratch, not logical state).
-  std::unique_ptr<FusedScratch> fused_;
+  /// step_batch's panels. unique_ptr so const member functions can
+  /// fill them (scratch, not logical state).
+  std::unique_ptr<Panels> panels_;
   /// Compile-time decision: int8 activations requested AND every GRU /
-  /// FC plan stores int8 weights, so the whole fused step can run
+  /// FC plan stores int8 weights, so a batched step can run
   /// code-by-code.
-  bool fused_q8_acts_ = false;
+  bool q8_acts_ = false;
 };
 
 }  // namespace rtmobile

@@ -1,10 +1,12 @@
 // The GRU gate epilogue shared by every compiled execution path.
 //
 // A compiled GRU step is six matvecs (or matmats) followed by elementwise
-// gate work. The per-stream step, the fused batched step and infer() all
-// hand each stream row to the two out-of-line kernels below, so they run
-// the same machine code per row: fused output is bit-identical to the
-// per-stream path by construction rather than by keeping copies in sync.
+// gate work. The compiled model's one step spine (step_batch, infer() and
+// run_recurrence at every width) hands each stream row to the two
+// out-of-line kernels below, and so does any per-vector recurrence built
+// on LayerPlan::execute: both run the same machine code per row, so a
+// batched step is bit-identical to a per-stream one by construction
+// rather than by keeping copies in sync.
 //
 // The activations are branch-free rational approximations written as
 // plain arithmetic so the row loops vectorize at the baseline ISA; libm's

@@ -172,11 +172,6 @@ Histogram& MetricsRegistry::histogram(std::string name, std::string help,
   return *entry.histogram;
 }
 
-void MetricsRegistry::add_collector(std::function<void()> fn) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  collectors_.push_back(std::move(fn));
-}
-
 std::size_t MetricsRegistry::instrument_count() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();
@@ -184,7 +179,6 @@ std::size_t MetricsRegistry::instrument_count() const {
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& collector : collectors_) collector();
   MetricsSnapshot snap;
   snap.samples.reserve(entries_.size());
   for (const Entry& entry : entries_) {

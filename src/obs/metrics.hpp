@@ -20,7 +20,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -128,12 +127,7 @@ class MetricsRegistry {
   Histogram& histogram(std::string name, std::string help,
                        std::vector<double> upper_bounds, Labels labels = {});
 
-  /// Registers a snapshot-time callback (runs before cells are read) —
-  /// how live values (queue depths, lag) get pulled into gauges without
-  /// any hot-path publishing beyond what the layer already does.
-  void add_collector(std::function<void()> fn);
-
-  /// Runs collectors, then reads every instrument. Counters are exact.
+  /// Reads every instrument. Counters are exact.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   [[nodiscard]] std::size_t instrument_count() const;
@@ -150,9 +144,8 @@ class MetricsRegistry {
   };
   Entry* find_entry(std::string_view name, const Labels& labels);
 
-  mutable std::mutex mutex_;  // registration + collector list + snapshot
+  mutable std::mutex mutex_;  // registration + snapshot
   std::deque<Entry> entries_;
-  std::vector<std::function<void()>> collectors_;
 };
 
 }  // namespace rtmobile::obs

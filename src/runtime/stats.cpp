@@ -73,35 +73,6 @@ void LatencyRecorder::reset() {
   next_keep_ = 1;
 }
 
-obs::HistogramData LatencyRecorder::to_histogram(
-    std::span<const double> upper_bounds) const {
-  obs::HistogramData data;
-  data.bounds.assign(upper_bounds.begin(), upper_bounds.end());
-  data.cumulative.assign(data.bounds.size() + 1, 0);
-  if (samples_.empty()) return data;
-  // Per-bucket tallies first, cumulative sums at the end. Each retained
-  // sample represents observed_/retained observations; the remainder is
-  // assigned to the earliest slots so the weights are deterministic and
-  // the bucket counts sum to count() exactly.
-  const std::size_t retained = samples_.size();
-  const std::uint64_t base = observed_ / retained;
-  const std::uint64_t remainder = observed_ % retained;
-  for (std::size_t i = 0; i < retained; ++i) {
-    const std::uint64_t weight = base + (i < remainder ? 1 : 0);
-    const auto bucket = static_cast<std::size_t>(
-        std::lower_bound(data.bounds.begin(), data.bounds.end(),
-                         samples_[i]) -
-        data.bounds.begin());
-    data.cumulative[bucket] += weight;
-    data.sum += samples_[i] * static_cast<double>(weight);
-  }
-  for (std::size_t b = 1; b < data.cumulative.size(); ++b) {
-    data.cumulative[b] += data.cumulative[b - 1];
-  }
-  data.count = observed_;
-  return data;
-}
-
 double LatencyRecorder::quantile_us(double q) const {
   RT_REQUIRE(q >= 0.0 && q <= 1.0, "quantile: q must be in [0, 1]");
   if (samples_.empty()) return 0.0;

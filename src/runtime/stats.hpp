@@ -19,10 +19,7 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
-
-#include "obs/metrics.hpp"
 
 namespace rtmobile::runtime {
 
@@ -62,17 +59,6 @@ class LatencyRecorder {
   /// aggregation relies on. A decimated merge keeps both retained sets,
   /// adopts the coarser stride, and re-thins if over cap.
   void merge_from(const LatencyRecorder& other);
-
-  /// Exports the recorder's contents in the metrics registry's
-  /// cumulative-bucket form (ascending `upper_bounds` plus the implicit
-  /// +Inf bucket) without touching the recorder's exact-quantile
-  /// semantics. Bucket counts always sum to count(): while undecimated
-  /// each sample counts once; after decimation each retained sample
-  /// stands for its share of the observations (observed / retained,
-  /// remainder spread deterministically over the earliest slots), so the
-  /// exported histogram stays a whole-stream view in bounded memory.
-  [[nodiscard]] obs::HistogramData to_histogram(
-      std::span<const double> upper_bounds) const;
 
   /// Clears samples; the cap is kept.
   void reset();

@@ -664,6 +664,20 @@ void ShardedEngine::publish_backlog(Shard& shard) {
   }
 }
 
+std::size_t ShardedEngine::serve_round(Shard& shard, bool drain,
+                                       std::size_t* frames) {
+  std::size_t worked = adopt_inbox(shard);
+  worked += apply_commands(shard);
+  const std::size_t served =
+      drain ? shard.engine->drain() : shard.engine->step();
+  if (frames != nullptr) *frames += served;
+  collect_events(shard);
+  publish_deadline(shard);
+  mark_done(shard);
+  publish_backlog(shard);
+  return worked + served;
+}
+
 // ---------------------------------------------------------- threaded mode
 
 void ShardedEngine::pump_loop(std::size_t s) {
@@ -691,14 +705,7 @@ void ShardedEngine::pump_loop(std::size_t s) {
           throw fault::FaultInjected("injected pump fault");
         }
       }
-      std::size_t worked = adopt_inbox(shard);
-      worked += apply_commands(shard);
-      worked += shard.engine->step();
-      collect_events(shard);
-      publish_deadline(shard);
-      mark_done(shard);
-      publish_backlog(shard);
-      if (worked > 0) {
+      if (serve_round(shard, /*drain=*/false) > 0) {
         idle_rounds = 0;
         continue;
       }
@@ -771,13 +778,7 @@ void ShardedEngine::stop() {
     for (;;) {
       std::size_t worked = 0;
       for (const auto& shard : shards_) {
-        worked += adopt_inbox(*shard);
-        worked += apply_commands(*shard);
-        worked += shard->engine->drain();
-        collect_events(*shard);
-        publish_deadline(*shard);
-        mark_done(*shard);
-        publish_backlog(*shard);
+        worked += serve_round(*shard, /*drain=*/true);
       }
       if (worked == 0) break;
     }
@@ -806,15 +807,7 @@ void ShardedEngine::stop() {
 std::size_t ShardedEngine::pump_shard(std::size_t s) {
   RT_REQUIRE(!running(), "pump_shard: engine is in threaded mode");
   RT_REQUIRE(s < shards_.size(), "shard index out of range");
-  Shard& shard = *shards_[s];
-  std::size_t worked = adopt_inbox(shard);
-  worked += apply_commands(shard);
-  worked += shard.engine->step();
-  collect_events(shard);
-  publish_deadline(shard);
-  mark_done(shard);
-  publish_backlog(shard);
-  return worked;
+  return serve_round(*shards_[s], /*drain=*/false);
 }
 
 std::size_t ShardedEngine::drain() {
@@ -822,17 +815,8 @@ std::size_t ShardedEngine::drain() {
   std::size_t total_frames = 0;
   for (;;) {
     std::size_t worked = 0;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Shard& shard = *shards_[s];
-      worked += adopt_inbox(shard);
-      worked += apply_commands(shard);
-      const std::size_t frames = shard.engine->drain();
-      worked += frames;
-      total_frames += frames;
-      collect_events(shard);
-      publish_deadline(shard);
-      mark_done(shard);
-      publish_backlog(shard);
+    for (const auto& shard : shards_) {
+      worked += serve_round(*shard, /*drain=*/true, &total_frames);
     }
     if (worked == 0) return total_frames;
   }

@@ -396,6 +396,13 @@ class ShardedEngine final : public Recognizer {
   /// counters are published while it is still local.
   void publish_deadline(Shard& shard);
   void publish_backlog(Shard& shard);
+  /// One serving round on `shard`: adopt_inbox, apply_commands, one
+  /// engine step (or a full engine drain when `drain`), collect_events,
+  /// publish_deadline, mark_done, publish_backlog — in that order.
+  /// Returns the work done (commands plus frames; 0 = idle) and adds the
+  /// frames alone to `*frames` when given.
+  std::size_t serve_round(Shard& shard, bool drain,
+                          std::size_t* frames = nullptr);
   void pump_loop(std::size_t s);
   std::vector<std::size_t> snapshot_loads() const;
   std::vector<double> snapshot_lags_us() const;

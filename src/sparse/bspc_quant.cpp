@@ -195,59 +195,6 @@ void PackedQuantizedBspc::spmv_stripe_list(
                    {gathered.data(), gathered.size()});
 }
 
-void PackedQuantizedBspc::spmm(const Matrix& x, Matrix& y,
-                               std::size_t batch) const {
-  RT_REQUIRE(batch > 0, "packed spmm: empty batch");
-  RT_REQUIRE(x.rows() >= batch && x.cols() == cols_,
-             "packed spmm: X shape mismatch");
-  RT_REQUIRE(y.rows() >= batch && y.cols() == rows_,
-             "packed spmm: Y shape mismatch");
-  for (std::size_t b = 0; b < batch; ++b) {
-    std::fill(y.row(b).begin(), y.row(b).end(), 0.0F);
-  }
-  const bool is_int8 = !q8_.empty();
-  // One gather of the whole batch's inputs per block: weights stream
-  // through each row exactly once for all right-hand sides.
-  std::vector<float> gathered(batch * max_block_cols_);
-  for (std::size_t s = 0; s < num_r_; ++s) {
-    const std::size_t row_lo = stripe_row_ptr_[s];
-    const std::size_t n_rows = stripe_row_ptr_[s + 1] - row_lo;
-    if (n_rows == 0) continue;
-    for (std::uint32_t bi = stripe_block_ptr_[s];
-         bi < stripe_block_ptr_[s + 1]; ++bi) {
-      const BspcMatrix::BlockRef& ref = blocks_[bi];
-      const std::uint32_t* cols = col_pool_.data() + ref.col_offset;
-      for (std::size_t b = 0; b < batch; ++b) {
-        const std::span<const float> xb = x.row(b);
-        float* g = gathered.data() + b * ref.col_count;
-        for (std::uint32_t k = 0; k < ref.col_count; ++k) {
-          g[k] = xb[cols[k]];
-        }
-      }
-      for (std::size_t i = 0; i < n_rows; ++i) {
-        const std::uint32_t r = active_rows_[row_lo + i];
-        if (is_int8) {
-          const std::int8_t* vrow =
-              q8_.data() + ref.value_offset + i * ref.col_count;
-          const float scale = row_scale_[r];
-          for (std::size_t b = 0; b < batch; ++b) {
-            const float* g = gathered.data() + b * ref.col_count;
-            const float acc = dot_q8_f32(vrow, g, ref.col_count);
-            y.row(b)[r] += acc * scale;
-          }
-        } else {
-          const std::uint16_t* vrow =
-              f16_.data() + ref.value_offset + i * ref.col_count;
-          for (std::size_t b = 0; b < batch; ++b) {
-            const float* g = gathered.data() + b * ref.col_count;
-            y.row(b)[r] += dot_f16_f32(vrow, g, ref.col_count);
-          }
-        }
-      }
-    }
-  }
-}
-
 void PackedQuantizedBspc::spmm_stripe_list(
     const Matrix& x, Matrix& y, std::size_t batch,
     std::span<const std::uint32_t> stripes, std::span<float> gather) const {

@@ -68,16 +68,6 @@ class PackedQuantizedBspc {
     return max_block_cols_;
   }
 
-  /// Batched right-hand sides: row b of X (b < batch) is an independent
-  /// input vector and row b of Y receives A X[b]. Weights are streamed
-  /// once per block for the whole batch instead of once per vector;
-  /// each row's result is bit-identical to spmv on that row (same
-  /// per-row accumulation order). Y rows [0, batch) are zeroed first.
-  /// The fused step_batch path uses the stripe-list forms below (this
-  /// whole-matrix form is the single-threaded convenience);
-  /// bench_fused quantifies the matmat-vs-matvec gap.
-  void spmm(const Matrix& x, Matrix& y, std::size_t batch) const;
-
   /// Batched stripe-list form (the fused step's kernel): row b of X
   /// (b < batch) is an independent fp32 input vector and row b of Y
   /// accumulates (A X[b]) for the listed stripes (caller zeroes the

@@ -348,6 +348,76 @@ TEST(ShardSupervision, FailedShardCanRejoinAfterProbe) {
   EXPECT_TRUE(home_used);
 }
 
+TEST(ShardSupervision, AutoRejoinRestoresKilledShardOnItsOwn) {
+  // Threaded mode with auto_rejoin: a one-shot pump fault kills one
+  // shard, the supervisor fails its stream over, and after the backoff
+  // it probes and restarts the shard with no caller involvement. The
+  // migrated stream finishes bit-identically and new streams land on
+  // the rejoined shard again.
+  const ServeFixture f = make_fixture(16, 1003);
+  const std::vector<float> wave = random_waveform(6000, 18);
+  obs::Telemetry telemetry;
+  FaultInjector injector(&telemetry);
+  ShardConfig config;
+  config.shards = 2;
+  config.policy = serve::RoutePolicy::kRoundRobin;
+  config.engine.fault = &injector;
+  config.engine.telemetry = &telemetry;
+  config.supervisor.enabled = true;
+  config.supervisor.check_interval = std::chrono::milliseconds(1);
+  config.supervisor.auto_rejoin = true;
+  config.supervisor.rejoin_backoff = std::chrono::milliseconds(20);
+  ShardedEngine engine(*f.model, f.masks, f.options, config);
+
+  const StreamHandle h = engine.open_stream(StreamConfig{});
+  const std::size_t victim = engine.stream_shard(h);
+  ASSERT_TRUE(engine.submit_audio(
+      h, std::span<const float>(wave).subspan(0, wave.size() / 2)));
+  // The 6th pump round on the victim throws, once: the stream has
+  // state to replay by then.
+  FaultSpec death;
+  death.trigger = Trigger::nth_hit(6);
+  death.key = victim;
+  death.max_fires = 1;
+  injector.arm(Site::kPumpFault, death);
+
+  engine.start();
+  // Failover stores kFailed right after counting itself, and only a
+  // kFailed shard can rejoin, so kHealthy after one failover is the
+  // kFailed -> kHealthy round trip (the backoff window may be too short
+  // to sample kFailed itself).
+  ASSERT_TRUE(wait_for(
+      [&] { return telemetry.fault().failovers->value() == 1; },
+      std::chrono::seconds(30)));
+  ASSERT_TRUE(wait_for(
+      [&] { return engine.shard_health(victim) == ShardHealth::kHealthy; },
+      std::chrono::seconds(30)));
+  EXPECT_NE(engine.stream_shard(h), victim);  // migrated away
+
+  ASSERT_TRUE(engine.submit_audio(
+      h, std::span<const float>(wave).subspan(wave.size() / 2)));
+  ASSERT_TRUE(engine.finish_stream(h));
+  ASSERT_TRUE(wait_for([&] { return engine.stream_done(h); },
+                       std::chrono::seconds(30)));
+  // Back in rotation (it turns admissible just after kHealthy).
+  EXPECT_TRUE(wait_for(
+      [&] {
+        const StreamHandle probe = engine.open_stream(StreamConfig{});
+        const bool home = engine.stream_shard(probe) == victim;
+        (void)engine.close_stream(probe);
+        return home;
+      },
+      std::chrono::seconds(30)));
+  engine.stop();  // the failure was recovered: must not rethrow
+
+  EXPECT_EQ(engine.shard_health(victim), ShardHealth::kHealthy);
+  EXPECT_EQ(engine.stream_logits(h),
+            reference_run(f, {wave}).logits[0]);  // bitwise
+  EXPECT_EQ(telemetry.fault().injected->value(), 1U);
+  EXPECT_EQ(telemetry.fault().replayed_streams->value(), 1U);
+  EXPECT_EQ(telemetry.fault().aborted_streams->value(), 0U);
+}
+
 TEST(ShardSupervision, WedgedPumpStreamsGetTerminalAbortNotSilence) {
   // A pump that stalls past the park grace cannot be seized state-clean;
   // its streams must get a terminal typed kAborted event — the client

@@ -1,14 +1,15 @@
-// Parity grid for the fused batched step (the batched-matmat spine).
+// Parity grid for the batched step (the compiled model's one spine).
 //
-// Contract under test: when CompilerOptions::fused admits a batch,
-// step_batch gathers the streams' hidden states into contiguous panels
-// and drives every weight matrix once per layer per step over the whole
-// batch — and that refactor is invisible in the numbers. fp32 and fp16
-// fused output is bit-identical to the per-stream path (and to
-// whole-utterance infer) for every batch width, sparsity pattern, and
-// batch composition; int8 weights stay bitwise because both paths share
-// the same dot kernels; int8 *activations* (the one mode that changes
-// arithmetic) stay within a small quantization bound. The panel's
+// Contract under test: step_batch gathers the streams' hidden states into
+// contiguous panels and drives every weight matrix once per layer per
+// step over the whole batch — and that is invisible in the numbers. fp32
+// and fp16 output is bit-identical to whole-utterance infer for every
+// batch width, sparsity pattern, and batch composition; int8 weights stay
+// bitwise because the batched and per-vector kernels share the same dot
+// kernels; int8 *activations* (the one mode that changes arithmetic, and
+// only at widths above 1) stay within a small quantization bound. infer
+// shares the spine, so it is checked against a per-vector recurrence
+// rebuilt here from LayerPlan::execute and the gate kernels. The panel's
 // stream order is pinned to the caller's states order, so permuting a
 // batch never changes any individual stream's logits.
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 
 #include "compiler/execution_plan.hpp"
 #include "compiler/gru_executor.hpp"
+#include "compiler/gru_gates.hpp"
 #include "hw/thread_pool.hpp"
 #include "rnn/model.hpp"
 #include "rnn/param_set.hpp"
@@ -67,14 +69,13 @@ ModelFixture make_fixture(std::size_t hidden, std::uint64_t seed,
 }
 
 std::unique_ptr<CompiledSpeechModel> compile(
-    const ModelFixture& f, FusedMode mode, ThreadPool* pool,
+    const ModelFixture& f, ThreadPool* pool,
     WeightPrecision precision = WeightPrecision::kFp32,
     ActivationPrecision activation = ActivationPrecision::kFp32) {
   CompilerOptions options;
   options.format = SparseFormat::kBspc;
   options.precision = precision;
   options.activation = activation;
-  options.fused = mode;
   if (pool != nullptr) options.threads = pool->thread_count();
   return std::make_unique<CompiledSpeechModel>(*f.model, f.masks, options,
                                                pool);
@@ -137,9 +138,10 @@ std::vector<Matrix> run_streamed(const CompiledSpeechModel& m,
 TEST(FusedStep, Fp32BitIdenticalAcrossBatchWidths) {
   const ModelFixture f = make_fixture(24, 60);
   ThreadPool pool(2);
-  const auto fused = compile(f, FusedMode::kAlways, &pool);
-  // Widths: degenerate 1, == pool threads, odd, > pool threads.
-  for (const std::size_t width : {1UL, 2UL, 3UL, 5UL}) {
+  const auto fused = compile(f, &pool);
+  // Widths: degenerate 1, == pool threads, odd, > pool threads, and
+  // past the model's pre-sized panels (they grow once).
+  for (const std::size_t width : {1UL, 2UL, 3UL, 5UL, 65UL}) {
     const std::vector<Matrix> utts =
         random_utterances(width, {6}, f.model->config().input_dim, 61);
     const std::vector<Matrix> streamed = run_streamed(*fused, utts);
@@ -158,7 +160,7 @@ TEST(FusedStep, PackedWeightsBitIdenticalThroughFusedPath) {
   ThreadPool pool(2);
   for (const WeightPrecision precision :
        {WeightPrecision::kFp16, WeightPrecision::kInt8PerRow}) {
-    const auto fused = compile(f, FusedMode::kAlways, &pool, precision);
+    const auto fused = compile(f, &pool, precision);
     const std::vector<Matrix> utts =
         random_utterances(4, {5}, f.model->config().input_dim, 63);
     const std::vector<Matrix> streamed = run_streamed(*fused, utts);
@@ -173,7 +175,7 @@ TEST(FusedStep, SparsityPatternsStayBitIdentical) {
   ThreadPool pool(2);
   for (const double keep : {0.15, 0.4, 0.8}) {
     const ModelFixture f = make_fixture(24, 64, keep);
-    const auto fused = compile(f, FusedMode::kAlways, &pool);
+    const auto fused = compile(f, &pool);
     const std::vector<Matrix> utts =
         random_utterances(3, {5}, f.model->config().input_dim, 65);
     const std::vector<Matrix> streamed = run_streamed(*fused, utts);
@@ -188,11 +190,12 @@ TEST(FusedStep, SparsityPatternsStayBitIdentical) {
 TEST(FusedStep, Int8ActivationsWithinQuantizationBound) {
   const ModelFixture f = make_fixture(24, 66);
   ThreadPool pool(2);
-  const auto q8 = compile(f, FusedMode::kAlways, &pool,
-                          WeightPrecision::kInt8PerRow,
+  const auto q8 = compile(f, &pool, WeightPrecision::kInt8PerRow,
                           ActivationPrecision::kInt8);
-  const auto reference = compile(f, FusedMode::kNever, &pool,
-                                 WeightPrecision::kInt8PerRow);
+  // Same int8 weights with fp32 activations: bitwise the per-stream
+  // result.
+  const auto reference = compile(f, &pool, WeightPrecision::kInt8PerRow,
+                                 ActivationPrecision::kFp32);
   const std::vector<Matrix> utts =
       random_utterances(4, {6}, f.model->config().input_dim, 67);
   const std::vector<Matrix> actual = run_streamed(*q8, utts);
@@ -219,7 +222,7 @@ TEST(FusedStep, PanelRowOrderIsPinnedToStatesOrder) {
   // depends on which panel row it occupies).
   const ModelFixture f = make_fixture(24, 68);
   ThreadPool pool(2);
-  const auto fused = compile(f, FusedMode::kAlways, &pool);
+  const auto fused = compile(f, &pool);
   constexpr std::size_t kStreams = 4;
   constexpr std::size_t kFrames = 5;
   const std::vector<Matrix> utts =
@@ -264,7 +267,7 @@ TEST(FusedStep, MidBatchStreamFinishKeepsParity) {
   // must keep bit-identity with its whole-utterance infer.
   const ModelFixture f = make_fixture(24, 70);
   ThreadPool pool(2);
-  const auto fused = compile(f, FusedMode::kAlways, &pool);
+  const auto fused = compile(f, &pool);
   const std::vector<Matrix> utts = random_utterances(
       5, {6, 3, 1, 5, 2}, f.model->config().input_dim, 71);
   const std::vector<Matrix> streamed = run_streamed(*fused, utts);
@@ -273,42 +276,134 @@ TEST(FusedStep, MidBatchStreamFinishKeepsParity) {
   }
 }
 
-// --------------------------------------------------- dispatch boundaries
-TEST(FusedStep, DispatchRespectsModeAndWidthBounds) {
+// ---------------------------------------------------------- width rule
+TEST(FusedStep, DispatchFollowsWidthRule) {
+  // The batch width is the only dispatch input: width 1 is one stream's
+  // matvecs, every wider batch is batched — including widths past the
+  // pre-sized panels, which grow instead of falling back.
   const ModelFixture f = make_fixture(16, 72);
-  CompilerOptions options;
-  options.format = SparseFormat::kBspc;
-  options.fused = FusedMode::kAuto;
-  options.min_fused_batch = 2;
-  options.max_fused_batch = 3;
-  const CompiledSpeechModel autod(*f.model, f.masks, options);
-  options.fused = FusedMode::kNever;
-  const CompiledSpeechModel never(*f.model, f.masks, options);
-  options.fused = FusedMode::kAlways;
-  const CompiledSpeechModel always(*f.model, f.masks, options);
-
+  const auto compiled = compile(f, nullptr);
   const std::size_t input_dim = f.model->config().input_dim;
-  Matrix features(4, input_dim, 0.1F);
-  Matrix logits(4, autod.config().num_classes);
-  const auto dispatch = [&](const CompiledSpeechModel& m,
-                            std::size_t width) {
-    std::vector<StreamState> states(width, m.make_state());
+  Matrix features(65, input_dim, 0.1F);
+  Matrix logits(65, compiled->config().num_classes);
+  const auto dispatch = [&](std::size_t width) {
+    std::vector<StreamState> states(width, compiled->make_state());
     std::vector<StreamState*> ptrs;
     for (StreamState& s : states) ptrs.push_back(&s);
-    return m.step_batch(features, ptrs, logits);
+    return compiled->step_batch(features, ptrs, logits);
   };
 
-  // kAuto: below min -> fallback, inside [min, max] -> fused, above
-  // max (panel capacity) -> fallback.
-  EXPECT_FALSE(dispatch(autod, 1).fused);
-  EXPECT_TRUE(dispatch(autod, 2).fused);
-  EXPECT_TRUE(dispatch(autod, 3).fused);
-  EXPECT_FALSE(dispatch(autod, 4).fused);
-  EXPECT_EQ(dispatch(autod, 3).width, 3U);
-  // kNever compiles no panels at all; kAlways fuses even width 1.
-  EXPECT_FALSE(dispatch(never, 2).fused);
-  EXPECT_TRUE(dispatch(always, 1).fused);
-  EXPECT_FALSE(dispatch(always, 4).fused);  // beyond panel capacity
+  EXPECT_FALSE(dispatch(1).fused);
+  EXPECT_TRUE(dispatch(2).fused);
+  const StepResult wide = dispatch(65);
+  EXPECT_TRUE(wide.fused);
+  EXPECT_EQ(wide.width, 65U);
+}
+
+// ------------------------------------------------- per-vector oracle
+/// A per-vector GRU recurrence built outside the compiled model's
+/// spine: one LayerPlan per weight (the fixture's masks, dense
+/// where a weight has none), six execute() matvecs and the two gate
+/// kernels per layer per frame, then FC plus bias.
+Matrix per_vector_infer(const ModelFixture& f, const CompilerOptions& options,
+                        ThreadPool* pool, const Matrix& features) {
+  const auto plan = [&](const Matrix& w, const std::string& name) {
+    const auto it = f.masks.find(name);
+    if (it == f.masks.end()) {
+      CompilerOptions dense = options;
+      dense.format = SparseFormat::kDense;
+      return LayerPlan::compile(w, nullptr, dense);
+    }
+    return LayerPlan::compile(w, &it->second, options);
+  };
+  const ModelConfig& config = f.model->config();
+  const std::size_t hidden = config.hidden_dim;
+  Matrix current = features;
+  for (std::size_t l = 0; l < config.num_layers; ++l) {
+    const GruParams& p = f.model->layer(l);
+    const std::string prefix = "gru" + std::to_string(l) + ".";
+    const LayerPlan w_z = plan(p.w_z, prefix + "w_z");
+    const LayerPlan w_r = plan(p.w_r, prefix + "w_r");
+    const LayerPlan w_h = plan(p.w_h, prefix + "w_h");
+    const LayerPlan u_z = plan(p.u_z, prefix + "u_z");
+    const LayerPlan u_r = plan(p.u_r, prefix + "u_r");
+    const LayerPlan u_h = plan(p.u_h, prefix + "u_h");
+    Matrix next(current.rows(), hidden);
+    Vector h(hidden, 0.0F);
+    Vector a(hidden), b(hidden), c(hidden), d(hidden);
+    for (std::size_t t = 0; t < current.rows(); ++t) {
+      const std::span<const float> x = current.row(t);
+      w_z.execute(x, a.span(), pool);
+      u_z.execute(h.span(), b.span(), pool);
+      w_r.execute(x, c.span(), pool);
+      u_r.execute(h.span(), d.span(), pool);
+      gru_update_reset_row(a.span(), b.span(), p.b_z.span(), c.span(),
+                           d.span(), p.b_r.span(), h.span());
+      w_h.execute(x, b.span(), pool);
+      u_h.execute(c.span(), d.span(), pool);
+      gru_candidate_blend_row(a.span(), b.span(), d.span(), p.b_h.span(),
+                              h.span(), next.row(t));
+      std::copy(next.row(t).begin(), next.row(t).end(), h.begin());
+    }
+    current = std::move(next);
+  }
+  const LayerPlan fc = plan(f.model->fc_weight(), "fc.w");
+  Matrix logits(current.rows(), config.num_classes);
+  for (std::size_t t = 0; t < current.rows(); ++t) {
+    fc.execute(current.row(t), logits.row(t), pool);
+    add_inplace(logits.row(t), f.model->fc_bias().span());
+  }
+  return logits;
+}
+
+TEST(FusedStep, InferMatchesPerVectorRecurrence) {
+  // infer shares advance_layers with step_batch, so the grid above
+  // cannot catch a spine bug that moves both; this oracle does not use
+  // the spine. Threading floor 0 so the pooled matvecs really split.
+  const ModelFixture f = make_fixture(24, 78);
+  const Matrix utt =
+      random_utterances(1, {6}, f.model->config().input_dim, 79)[0];
+  ThreadPool two(2);
+  struct Case {
+    const char* name;
+    WeightPrecision weights;
+    ActivationPrecision activations;
+  };
+  const std::vector<Case> cases = {
+      {"fp32", WeightPrecision::kFp32, ActivationPrecision::kFp32},
+      {"fp16", WeightPrecision::kFp16, ActivationPrecision::kFp32},
+      {"int8", WeightPrecision::kInt8PerRow, ActivationPrecision::kFp32},
+      {"int8+act8", WeightPrecision::kInt8PerRow,
+       ActivationPrecision::kInt8},
+  };
+  for (const Case& c : cases) {
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two}) {
+      CompilerOptions options;
+      options.format = SparseFormat::kBspc;
+      options.precision = c.weights;
+      options.activation = c.activations;
+      options.min_nnz_for_threading = 0;
+      if (pool != nullptr) options.threads = pool->thread_count();
+      const CompiledSpeechModel compiled(*f.model, f.masks, options, pool);
+      EXPECT_EQ(compiled.infer(utt), per_vector_infer(f, options, pool, utt))
+          << c.name << (pool != nullptr ? " pooled" : " inline");  // bitwise
+    }
+  }
+}
+
+TEST(FusedStep, WidthOneKeepsFp32ActivationsUnderInt8) {
+  // A width-1 step runs the per-vector kernels on the fp32 row, so an
+  // int8+act8 model serving one stream is bitwise its fp32-activation
+  // twin.
+  const ModelFixture f = make_fixture(24, 80);
+  ThreadPool pool(2);
+  const auto q8 = compile(f, &pool, WeightPrecision::kInt8PerRow,
+                          ActivationPrecision::kInt8);
+  const auto fp32_acts = compile(f, &pool, WeightPrecision::kInt8PerRow,
+                                 ActivationPrecision::kFp32);
+  const std::vector<Matrix> utts =
+      random_utterances(1, {6}, f.model->config().input_dim, 81);
+  EXPECT_EQ(run_streamed(*q8, utts)[0], run_streamed(*fp32_acts, utts)[0]);
 }
 
 // ------------------------------------------------------- engine level
@@ -322,14 +417,14 @@ std::vector<float> random_waveform(std::size_t samples,
 
 TEST(FusedEngine, MixedLengthStreamsMatchInferAndAccountDispatch) {
   // Four streams of different lengths on one engine: rounds start at
-  // width 4 (fused) and end at width 1 (fallback under kAuto's
-  // min_fused_batch). Logits stay bit-identical to whole-utterance
+  // width 4 (fused) and end at width 1 (a fallback round: one stream's
+  // matvecs). Logits stay bit-identical to whole-utterance
   // infer, and the stats ledger accounts every dispatched round as
   // exactly one of fused/fallback, with the width histogram counting
   // one sample per fused round.
   const ModelFixture f = make_fixture(24, 73);
   ThreadPool pool(2);
-  const auto compiled = compile(f, FusedMode::kAuto, &pool);
+  const auto compiled = compile(f, &pool);
   InferenceEngine engine(*compiled);
   const std::vector<std::size_t> samples = {7000, 9000, 12000, 16000};
   std::vector<std::vector<float>> waves;
@@ -364,7 +459,7 @@ TEST(FusedEngine, CacheHitBurstShrinksPanelAndKeepsParity) {
   // bit-identical to compute throughout.
   const ModelFixture f = make_fixture(24, 75);
   ThreadPool pool(2);
-  const auto compiled = compile(f, FusedMode::kAuto, &pool);
+  const auto compiled = compile(f, &pool);
   EngineConfig config;
   config.cache.enabled = true;
   InferenceEngine engine(*compiled, config);

@@ -1,10 +1,9 @@
 // Tests for the observability layer: the metrics registry (typed
 // instruments, concurrency, Prometheus/JSON exposition), per-stage span
 // tracing (ring overflow, exact aggregates, slow-stream exemplars), the
-// LatencyRecorder histogram export, the pluggable log sink, and the
-// end-to-end guarantee the whole design exists for — a live /metrics
-// scrape over TCP whose engine counters exactly equal the
-// StatsAggregator totals for the same workload.
+// pluggable log sink, and the end-to-end guarantee the whole design
+// exists for — a live /metrics scrape over TCP whose engine counters
+// exactly equal the StatsAggregator totals for the same workload.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,7 +11,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -53,7 +51,6 @@ using obs::Stage;
 using obs::Telemetry;
 using obs::TraceCollector;
 using net::RecognizerServer;
-using runtime::LatencyRecorder;
 
 // ---------------------------------------------------------- registry
 
@@ -129,18 +126,6 @@ TEST(ObsMetrics, ConcurrentIncrementsAreExact) {
   const HistogramData data = h.snapshot();
   EXPECT_EQ(data.count, kThreads * kPerThread);
   EXPECT_EQ(data.cumulative.back(), kThreads * kPerThread);
-}
-
-TEST(ObsMetrics, CollectorsRunAtSnapshotTime) {
-  MetricsRegistry registry;
-  Gauge& depth = registry.gauge("depth", "refreshed on scrape");
-  int source = 0;
-  registry.add_collector([&depth, &source] {
-    depth.set(static_cast<double>(source));
-  });
-  source = 7;
-  const MetricsSnapshot snap = registry.snapshot();
-  EXPECT_DOUBLE_EQ(snap.find("depth", {})->gauge_value, 7.0);
 }
 
 TEST(ObsMetrics, PrometheusGoldenOutput) {
@@ -287,49 +272,6 @@ TEST(ObsTrace, TelemetrySnapshotSynthesizesStageSamples) {
   // The JSON rendering carries the exemplar section even when empty.
   EXPECT_NE(telemetry.render_json().find("\"slow_stream_exemplars\""),
             std::string::npos);
-}
-
-// --------------------------------------- LatencyRecorder -> histogram
-
-TEST(ObsStats, ToHistogramExactWhileUndecimated) {
-  LatencyRecorder recorder;
-  const std::array<double, 6> values{0.5, 1.0, 3.0, 7.0, 12.0, 100.0};
-  for (const double v : values) recorder.record(v);
-  const std::array<double, 3> bounds{1.0, 5.0, 10.0};
-
-  const HistogramData data = recorder.to_histogram(bounds);
-  EXPECT_EQ(data.cumulative,
-            (std::vector<std::uint64_t>{2, 3, 4, 6}));
-  EXPECT_EQ(data.count, 6U);
-  EXPECT_DOUBLE_EQ(data.sum, 123.5);
-}
-
-TEST(ObsStats, ToHistogramSumsToCountAfterDecimation) {
-  LatencyRecorder recorder(8);  // capped: decimation kicks in
-  for (int i = 0; i < 1000; ++i) {
-    recorder.record(static_cast<double>(i % 50));
-  }
-  ASSERT_EQ(recorder.count(), 1000U);
-  ASSERT_LT(recorder.retained(), 1000U);
-
-  const std::array<double, 3> bounds{10.0, 25.0, 40.0};
-  const HistogramData data = recorder.to_histogram(bounds);
-  // The invariant the exporter promises: bucket counts account for every
-  // observed sample, decimated or not.
-  EXPECT_EQ(data.count, 1000U);
-  EXPECT_EQ(data.cumulative.back(), 1000U);
-  for (std::size_t b = 1; b < data.cumulative.size(); ++b) {
-    EXPECT_GE(data.cumulative[b], data.cumulative[b - 1]);
-  }
-}
-
-TEST(ObsStats, ToHistogramEmptyRecorderIsAllZeros) {
-  const LatencyRecorder recorder;
-  const std::array<double, 2> bounds{1.0, 2.0};
-  const HistogramData data = recorder.to_histogram(bounds);
-  EXPECT_EQ(data.count, 0U);
-  EXPECT_EQ(data.cumulative, (std::vector<std::uint64_t>{0, 0, 0}));
-  EXPECT_DOUBLE_EQ(data.sum, 0.0);
 }
 
 // ------------------------------------------------------------ log sink

@@ -171,8 +171,14 @@ TEST(PackedBspc, SpmmBitIdenticalToPerVectorSpmv) {
     Matrix x(kBatch + 1, 44);  // extra trailing row: grow-only buffers
     Rng rng(29);
     fill_normal(x.span(), rng, 1.0F);
-    Matrix y(kBatch + 1, 32);
-    packed.spmm(x, y, kBatch);
+    Matrix y(kBatch + 1, 32);  // zeroed: the stripe-list form accumulates
+    std::vector<std::uint32_t> stripes(packed.num_stripes());
+    for (std::size_t s = 0; s < stripes.size(); ++s) {
+      stripes[s] = static_cast<std::uint32_t>(s);
+    }
+    std::vector<float> gather(kBatch * packed.max_block_cols());
+    packed.spmm_stripe_list(x, y, kBatch, stripes,
+                            {gather.data(), gather.size()});
     for (std::size_t b = 0; b < kBatch; ++b) {
       Vector expected(32);
       packed.spmv(x.row(b), expected.span());
