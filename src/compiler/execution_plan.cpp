@@ -106,8 +106,10 @@ std::size_t LayerPlan::batch_gather_floats() const {
 }
 
 std::size_t LayerPlan::q8_scratch_words(std::size_t batch) const {
-  if (options_.format != SparseFormat::kBspc || !int8_weights()) return 0;
-  return packed_bspc_.q8_scratch_words(batch);
+  if (!int8_weights()) return 0;
+  return options_.format == SparseFormat::kBspc
+             ? packed_bspc_.q8_scratch_words(batch)
+             : packed_dense_.q8_scratch_words(batch);
 }
 
 void LayerPlan::execute(std::span<const float> x, std::span<float> y,
@@ -232,12 +234,29 @@ void LayerPlan::execute_batch(const Matrix& x, Matrix& y, std::size_t batch,
   switch (options_.format) {
     case SparseFormat::kDense: {
       if (packed()) {
-        const auto run_rows = [&](std::size_t begin, std::size_t end) {
-          if (q8_acts) {
-            packed_dense_.gemm_rows_q8(*xq, y, batch, begin, end);
-          } else {
-            packed_dense_.gemm_rows(x, y, batch, begin, end);
+        if (q8_acts) {
+          // Each row chunk runs the panel kernel on its own scratch
+          // partition; the chunks' rows are disjoint.
+          LreScratch local;
+          LreScratch& q8 = scratch != nullptr ? *scratch : local;
+          const std::size_t words = q8_scratch_words(batch);
+          if (!threaded) {
+            q8.prepare_q8(1, words);
+            packed_dense_.gemm_rows_q8(*xq, y, batch, 0, rows_,
+                                       q8.partition_q8(0));
+            return;
           }
+          q8.prepare_q8(pool->thread_count(), words);
+          pool->parallel_for_indexed(
+              rows_, [&](std::size_t chunk, std::size_t begin,
+                         std::size_t end) {
+                packed_dense_.gemm_rows_q8(*xq, y, batch, begin, end,
+                                           q8.partition_q8(chunk));
+              });
+          return;
+        }
+        const auto run_rows = [&](std::size_t begin, std::size_t end) {
+          packed_dense_.gemm_rows(x, y, batch, begin, end);
         };
         if (!threaded) {
           run_rows(0, rows_);

@@ -145,9 +145,9 @@ class LayerPlan {
   [[nodiscard]] std::size_t batch_gather_floats() const;
 
   /// int32 scratch words one partition of the q8 activation kernel
-  /// needs at `batch` streams (0 unless the plan is int8 BSPC — the one
-  /// format whose batched kernel runs code-by-code on interleaved
-  /// panels).
+  /// needs at `batch` streams (0 unless the plan stores int8 weights —
+  /// packed BSPC or packed dense, whose batched kernels run code by code
+  /// on interleaved panels).
   [[nodiscard]] std::size_t q8_scratch_words(std::size_t batch) const;
 
   /// True when the compiled storage is int8 codes (packed dense or

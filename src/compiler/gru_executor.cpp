@@ -152,72 +152,77 @@ StepResult CompiledSpeechModel::step_batch(
 const Matrix& CompiledSpeechModel::advance_layers(
     const Matrix& features, std::span<StreamState* const> states,
     Panels& panels) const {
+  const Matrix* x = &features;
+  Matrix* out = &panels.out0;
+  Matrix* out_prev = &panels.out1;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    advance_layer(l, *x, states, panels, *out);
+    x = out;
+    std::swap(out, out_prev);
+  }
+  return *x;
+}
+
+void CompiledSpeechModel::advance_layer(std::size_t l, const Matrix& x,
+                                        std::span<StreamState* const> states,
+                                        Panels& panels, Matrix& out) const {
   const std::size_t batch = states.size();
   const std::size_t hidden = config_.hidden_dim;
   // Width 1 keeps fp32 activations: its matvecs are the per-vector
   // kernels, which read the fp32 row.
   const bool q8 = q8_acts_ && batch > 1;
-
-  const Matrix* x = &features;
-  Matrix* out = &panels.out0;
-  Matrix* out_prev = &panels.out1;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const CompiledLayer& layer = layers_[l];
-    const QuantizedActivations* xqp = nullptr;
-    const QuantizedActivations* hqp = nullptr;
-    const QuantizedActivations* gqp = nullptr;
-    if (q8) {
-      panels.xq.resize(batch, x->cols());
-      panels.hq.resize(batch, hidden);
-      panels.gq.resize(batch, hidden);
-      xqp = &panels.xq;
-      hqp = &panels.hq;
-      gqp = &panels.gq;
-    }
-    // Gather this layer's recurrent states into one contiguous panel.
-    // Panel row b is stream b of `states` — the caller's scheduler-
-    // gather order, pinned as part of the step_batch contract.
-    for_each_stream(pool_, batch, [&](std::size_t b) {
-      const std::span<const float> h_prev = states[b]->h[l].span();
-      std::copy(h_prev.begin(), h_prev.end(), panels.h.row(b).begin());
-      if (q8) {
-        panels.xq.quantize_row(b, x->row(b));
-        panels.hq.quantize_row(b, panels.h.row(b));
-      }
-    });
-    if (q8) {
-      panels.xq.transpose(batch);
-      panels.hq.transpose(batch);
-    }
-
-    // Panels A/C take W_z x / W_r x and leave holding z / r . h_prev.
-    layer.w_z.execute_batch(*x, panels.a, batch, pool_, &panels.lre, xqp);
-    layer.u_z.execute_batch(panels.h, panels.b, batch, pool_, &panels.lre,
-                            hqp);
-    layer.w_r.execute_batch(*x, panels.c, batch, pool_, &panels.lre, xqp);
-    layer.u_r.execute_batch(panels.h, panels.d, batch, pool_, &panels.lre,
-                            hqp);
-    for_each_stream(pool_, batch, [&](std::size_t b) {
-      gru_update_reset_row(panels.a.row(b), panels.b.row(b), layer.b_z.span(),
-                           panels.c.row(b), panels.d.row(b), layer.b_r.span(),
-                           panels.h.row(b));
-      if (q8) panels.gq.quantize_row(b, panels.c.row(b));
-    });
-    if (q8) panels.gq.transpose(batch);
-    layer.w_h.execute_batch(*x, panels.b, batch, pool_, &panels.lre, xqp);
-    layer.u_h.execute_batch(panels.c, panels.d, batch, pool_, &panels.lre,
-                            gqp);
-    // h = (1 - z) h_prev + z h~, scattered straight back to the states.
-    for_each_stream(pool_, batch, [&](std::size_t b) {
-      const std::span<float> h_out = out->row(b);
-      gru_candidate_blend_row(panels.a.row(b), panels.b.row(b), panels.d.row(b),
-                              layer.b_h.span(), panels.h.row(b), h_out);
-      std::copy(h_out.begin(), h_out.end(), states[b]->h[l].span().begin());
-    });
-    x = out;
-    std::swap(out, out_prev);
+  const CompiledLayer& layer = layers_[l];
+  const QuantizedActivations* xqp = nullptr;
+  const QuantizedActivations* hqp = nullptr;
+  const QuantizedActivations* gqp = nullptr;
+  if (q8) {
+    panels.xq.resize(batch, x.cols());
+    panels.hq.resize(batch, hidden);
+    panels.gq.resize(batch, hidden);
+    xqp = &panels.xq;
+    hqp = &panels.hq;
+    gqp = &panels.gq;
   }
-  return *x;
+  // Gather this layer's recurrent states into one contiguous panel.
+  // Panel row b is stream b of `states` — the caller's scheduler-
+  // gather order, pinned as part of the step_batch contract.
+  for_each_stream(pool_, batch, [&](std::size_t b) {
+    const std::span<const float> h_prev = states[b]->h[l].span();
+    std::copy(h_prev.begin(), h_prev.end(), panels.h.row(b).begin());
+    if (q8) {
+      panels.xq.quantize_row(b, x.row(b));
+      panels.hq.quantize_row(b, panels.h.row(b));
+    }
+  });
+  if (q8) {
+    panels.xq.transpose(batch);
+    panels.hq.transpose(batch);
+  }
+
+  // Panels A/C take W_z x / W_r x and leave holding z / r . h_prev.
+  layer.w_z.execute_batch(x, panels.a, batch, pool_, &panels.lre, xqp);
+  layer.u_z.execute_batch(panels.h, panels.b, batch, pool_, &panels.lre,
+                          hqp);
+  layer.w_r.execute_batch(x, panels.c, batch, pool_, &panels.lre, xqp);
+  layer.u_r.execute_batch(panels.h, panels.d, batch, pool_, &panels.lre,
+                          hqp);
+  for_each_stream(pool_, batch, [&](std::size_t b) {
+    gru_update_reset_row(panels.a.row(b), panels.b.row(b), layer.b_z.span(),
+                         panels.c.row(b), panels.d.row(b), layer.b_r.span(),
+                         panels.h.row(b));
+    if (q8) panels.gq.quantize_row(b, panels.c.row(b));
+  });
+  if (q8) panels.gq.transpose(batch);
+  layer.w_h.execute_batch(x, panels.b, batch, pool_, &panels.lre, xqp);
+  layer.u_h.execute_batch(panels.c, panels.d, batch, pool_, &panels.lre,
+                          gqp);
+  // h = (1 - z) h_prev + z h~, scattered straight back to the states.
+  for_each_stream(pool_, batch, [&](std::size_t b) {
+    const std::span<float> h_out = out.row(b);
+    gru_candidate_blend_row(panels.a.row(b), panels.b.row(b), panels.d.row(b),
+                            layer.b_h.span(), panels.h.row(b), h_out);
+    std::copy(h_out.begin(), h_out.end(), states[b]->h[l].span().begin());
+  });
 }
 
 Matrix CompiledSpeechModel::infer(const Matrix& features) const {
@@ -230,13 +235,25 @@ Matrix CompiledSpeechModel::infer(const Matrix& features) const {
   size_panels(panels, 1);
   StreamState state = make_state();
   StreamState* const state_ptr = &state;
-  Matrix frame(1, config_.input_dim);
+  // Layer-major: each layer runs over every frame before the next one
+  // starts, so its weights stay hot across frames. A layer's outputs are
+  // the next layer's input sequence.
+  Matrix sequence = features;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    Matrix frame(1, sequence.cols());
+    Matrix next(frames, config_.hidden_dim);
+    for (std::size_t t = 0; t < frames; ++t) {
+      std::copy(sequence.row(t).begin(), sequence.row(t).end(),
+                frame.row(0).begin());
+      advance_layer(l, frame, {&state_ptr, 1}, panels, panels.out0);
+      std::copy(panels.out0.row(0).begin(), panels.out0.row(0).end(),
+                next.row(t).begin());
+    }
+    sequence = std::move(next);
+  }
   Matrix logits(frames, config_.num_classes);
   for (std::size_t t = 0; t < frames; ++t) {
-    std::copy(features.row(t).begin(), features.row(t).end(),
-              frame.row(0).begin());
-    const Matrix& top = advance_layers(frame, {&state_ptr, 1}, panels);
-    fc_.execute(top.row(0), logits.row(t), pool_, &panels.lre);
+    fc_.execute(sequence.row(t), logits.row(t), pool_, &panels.lre);
     add_inplace(logits.row(t), fc_b_.span());
   }
   return logits;

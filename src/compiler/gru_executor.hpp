@@ -55,9 +55,10 @@ class CompiledSpeechModel {
                       ThreadPool* pool = nullptr);
 
   /// Per-frame logits for an utterance (T x input_dim) -> (T x classes),
-  /// stepped frame by frame as a width-1 batch in panels of its own, so
-  /// it may run beside a step_batch on the same model (when the model
-  /// has a pool, that pool still takes one caller at a time).
+  /// run layer by layer (each layer over every frame, then the next) as
+  /// width-1 steps in panels of its own, so it may run beside a
+  /// step_batch on the same model (when the model has a pool, that pool
+  /// still takes one caller at a time).
   [[nodiscard]] Matrix infer(const Matrix& features) const;
 
   /// Fresh zero-initialized recurrent state for one stream.
@@ -157,6 +158,14 @@ class CompiledSpeechModel {
   const Matrix& advance_layers(const Matrix& features,
                                std::span<StreamState* const> states,
                                Panels& panels) const;
+
+  /// Advances GRU layer `l` of `states` by one timestep, with row b of
+  /// `x` as stream b's input: row b of `out` (not a panel advance_layer
+  /// itself uses as scratch) and states[b]->h[l] receive the new hidden
+  /// state.
+  void advance_layer(std::size_t l, const Matrix& x,
+                     std::span<StreamState* const> states, Panels& panels,
+                     Matrix& out) const;
 
   ModelConfig config_;
   CompilerOptions options_;

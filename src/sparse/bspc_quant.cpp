@@ -19,11 +19,6 @@ std::int8_t quantize_code(float value, float scale) {
       std::clamp(q, -kInt8CodeLimit, kInt8CodeLimit));
 }
 
-/// Panel lane groups the q8 matmat interleaves `cols` columns into.
-std::size_t q8_lane_groups(std::size_t cols) {
-  return (cols + kQ8PanelCols - 1) / kQ8PanelCols;
-}
-
 }  // namespace
 
 PackedQuantizedBspc PackedQuantizedBspc::pack(const BspcMatrix& source,
@@ -262,10 +257,15 @@ void PackedQuantizedBspc::spmm_stripe_list_q8(
   RT_REQUIRE(x.padded_batch >= bp,
              "packed spmm q8: panel not transpose()d for this batch");
   // Scratch layout: the interleaved activation panel (one int32 lane =
-  // one stream's kQ8PanelCols codes), then the stripe's int32
-  // accumulators.
+  // one stream's kQ8PanelCols codes), the stripe's int32 accumulators,
+  // the zero row the epilogue reads for pruned rows, and the epilogue's
+  // table of each span row's accumulator offset.
   std::int32_t* panel = scratch.data();
   std::int32_t* acc = scratch.data() + bp * q8_lane_groups(max_block_cols_);
+  const auto zero_offset = static_cast<std::int32_t>(bp * max_stripe_rows_);
+  std::int32_t* zero_row = acc + zero_offset;
+  std::int32_t* slot = zero_row + bp;
+  std::fill(zero_row, zero_row + bp, 0);
   for (const std::uint32_t s : stripes) {
     RT_REQUIRE(s < num_r_, "packed spmm q8: stripe index out of range");
     const std::size_t row_lo = stripe_row_ptr_[s];
@@ -299,17 +299,21 @@ void PackedQuantizedBspc::spmm_stripe_list_q8(
       matmat_q8_block(q8_.data() + ref.value_offset, ref.col_count, n_rows,
                       panel, bp, acc);
     }
-    // One dequantization per (row, stream) for the whole stripe. Stream
-    // outer so each stream's output row is written in ascending column
-    // order (acc is small enough to sit in L1 either way).
-    for (std::size_t b = 0; b < batch; ++b) {
-      float* yb = y.row(b).data();
-      const float xs = x.scale[b];
-      for (std::size_t i = 0; i < n_rows; ++i) {
-        const std::uint32_t r = active_rows_[row_lo + i];
-        yb[r] += static_cast<float>(acc[i * bp + b]) * row_scale_[r] * xs;
-      }
+    // One dequantization per (row, stream) for the whole stripe, over
+    // its row span, first to last active row. A stripe's rows are one
+    // contiguous range, so threaded partitions with disjoint stripes
+    // never share an output.
+    const std::uint32_t* rows = active_rows_.data() + row_lo;
+    const std::size_t first = rows[0];
+    const std::size_t span = rows[n_rows - 1] - first + 1;
+    std::fill(slot, slot + span, zero_offset);
+    for (std::size_t i = 0; i < n_rows; ++i) {
+      slot[rows[i] - first] = static_cast<std::int32_t>(i * bp);
     }
+    dequantize_q8_span<true>(
+        [acc, slot](std::size_t p) { return acc + slot[p]; }, span, zero_row,
+        row_scale_.data() + first, x.scale.data(), batch, y.data() + first,
+        y.cols());
   }
 }
 
@@ -343,7 +347,8 @@ Matrix PackedQuantizedBspc::to_dense() const {
 
 std::size_t PackedQuantizedBspc::q8_scratch_words(std::size_t batch) const {
   const std::size_t bp = (batch + 7) & ~std::size_t{7};
-  return bp * (q8_lane_groups(max_block_cols_) + max_stripe_rows_);
+  return bp * (q8_lane_groups(max_block_cols_) + max_stripe_rows_ + 1) +
+         rows_;
 }
 
 std::size_t PackedQuantizedBspc::memory_bytes(std::size_t index_bytes) const {

@@ -87,16 +87,19 @@ class PackedQuantizedBspc {
   /// activation codes are gathered once into a stream-major interleaved
   /// panel, every group of weight codes is broadcast and multiplied
   /// across the whole batch (no per-stream horizontal reductions), and
-  /// partial sums ride per-stripe int32 accumulators dequantized once per
-  /// (row, stream) as i32 * row_scale[r] * x.scale[b]. On AVX-VNNI builds
+  /// partial sums ride per-stripe int32 accumulators. On AVX-VNNI builds
   /// the panel holds 4 columns per 32-bit lane as unsigned bytes code +
   /// 128 and each weight quad is one vpdpbusd per 8 streams; the
   /// accumulators start at minus the pack-time 128 * sum(row codes), so
   /// the sums are unchanged. Other builds use int16 column pairs (see
-  /// tensor/quant_dot.hpp). Per-stream sums equal dot_q8_q8_i32 exactly
-  /// (integer associativity) on every build, so the result is within the
-  /// activation grid's rounding slack of spmm_stripe_list, not bitwise.
-  /// `scratch` needs q8_scratch_words(batch) int32 words.
+  /// tensor/quant_dot.hpp). After a stripe's last block,
+  /// dequantize_q8_span adds (float(sum) * row_scale[r]) * x.scale[b] to
+  /// y[b][r], in 8-row x 8-stream register tiles over the stripe's row
+  /// span on AVX2 builds (pruned rows of the span add +0) and row by row
+  /// for what the tiles leave. Every build therefore writes the same bits, which are
+  /// within the activation grid's rounding slack of spmm_stripe_list,
+  /// not bitwise. Only rows of the listed stripes and streams < batch
+  /// are written. `scratch` needs q8_scratch_words(batch) int32 words.
   void spmm_stripe_list_q8(const QuantizedActivations& x, Matrix& y,
                            std::size_t batch,
                            std::span<const std::uint32_t> stripes,
@@ -104,9 +107,10 @@ class PackedQuantizedBspc {
 
   /// int32 scratch words spmm_stripe_list_q8 needs at `batch`: the
   /// interleaved activation panel (ceil(max_block_cols / 4) lane groups
-  /// on AVX-VNNI builds, ceil(max_block_cols / 2) otherwise) plus the
-  /// stripe accumulator block, both padded to 8-stream lanes (the
-  /// transposed activation panel's lane group).
+  /// on AVX-VNNI builds, ceil(max_block_cols / 2) otherwise), the
+  /// stripe accumulator block and one zero row, all padded to 8-stream
+  /// lanes (the transposed activation panel's lane group), plus one
+  /// word per row for the epilogue's row-span table.
   [[nodiscard]] std::size_t q8_scratch_words(std::size_t batch) const;
 
   /// Dequantized dense reconstruction (for verification).

@@ -14,7 +14,11 @@
 //
 // CMake compiles the translation units that include this header with
 // -mavx2 -ffp-contract=off when the configuring host supports AVX2
-// (RTMOBILE_SIMD_QUANT). -ffp-contract=off keeps a multiply and add
+// (RTMOBILE_SIMD_QUANT): bspc.cpp and gemm.cpp directly, and the int8
+// kernels' bspc_quant.cpp and packed_dense.cpp through quant_dot.hpp,
+// whose int8 epilogue transposes its int32 tiles with transpose8_halves
+// (those two add -mfma -mf16c and maybe -mavxvnni, which no code here
+// uses). -ffp-contract=off keeps a multiply and add
 // from fusing into an FMA, which would round once instead of twice,
 // even under global flags that enable FMA (e.g. -march=native).
 // Without AVX2 the header is empty and its includers run their scalar

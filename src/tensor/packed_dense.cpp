@@ -58,6 +58,17 @@ PackedDenseMatrix PackedDenseMatrix::pack(const Matrix& weights,
       }
     }
   }
+  // The q8 matmat's offset panel adds kQ8PanelOffset to every activation
+  // code; each row's share is cancelled exactly from this sum.
+  if constexpr (kQ8PanelOffset != 0) {
+    out.q8_offset_sum_.assign(out.rows_, 0);
+    for (std::size_t r = 0; r < out.rows_; ++r) {
+      const std::int8_t* q = out.q8_.data() + r * out.cols_;
+      for (std::size_t c = 0; c < out.cols_; ++c) {
+        out.q8_offset_sum_[r] += kQ8PanelOffset * q[c];
+      }
+    }
+  }
   return out;
 }
 
@@ -116,7 +127,8 @@ void PackedDenseMatrix::gemm_rows(const Matrix& x, Matrix& y,
 
 void PackedDenseMatrix::gemm_rows_q8(const QuantizedActivations& x, Matrix& y,
                                      std::size_t batch, std::size_t row_begin,
-                                     std::size_t row_end) const {
+                                     std::size_t row_end,
+                                     std::span<std::int32_t> scratch) const {
   RT_REQUIRE(!q8_.empty(), "packed gemm q8: int8 weight storage required");
   RT_REQUIRE(x.dim == cols_ && y.cols() == rows_,
              "packed gemm q8: shape mismatch");
@@ -124,14 +136,41 @@ void PackedDenseMatrix::gemm_rows_q8(const QuantizedActivations& x, Matrix& y,
              "packed gemm q8: batch exceeds panel");
   RT_REQUIRE(row_begin <= row_end && row_end <= rows_,
              "packed gemm q8: row range out of bounds");
-  for (std::size_t r = row_begin; r < row_end; ++r) {
-    const std::int8_t* row = q8_.data() + r * cols_;
-    const float scale = row_scale_[r];
-    for (std::size_t b = 0; b < batch; ++b) {
-      y.row(b)[r] = static_cast<float>(dot_q8_q8_i32(row, x.row(b), cols_)) *
-                    scale * x.scale[b];
-    }
+  RT_REQUIRE(scratch.size() >= q8_scratch_words(batch),
+             "packed gemm q8: scratch smaller than q8_scratch_words");
+  const std::size_t bp = (batch + 7) & ~std::size_t{7};
+  RT_REQUIRE(x.padded_batch >= bp,
+             "packed gemm q8: panel not transpose()d for this batch");
+  const std::size_t n_rows = row_end - row_begin;
+  if (n_rows == 0) return;
+  // Scratch layout as in PackedQuantizedBspc::spmm_stripe_list_q8: the
+  // interleaved panel of every column, then the rows' accumulators.
+  const std::size_t groups = q8_lane_groups(cols_);
+  std::int32_t* panel = scratch.data();
+  std::int32_t* acc = panel + bp * groups;
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::size_t k = g * kQ8PanelCols;
+    const std::size_t n = std::min(kQ8PanelCols, cols_ - k);
+    const std::int8_t* group[kQ8PanelCols] = {};
+    for (std::size_t j = 0; j < n; ++j) group[j] = x.col(k + j);
+    interleave_q8_panel(group, n, bp, panel + g * bp);
   }
+  for (std::size_t i = 0; i < n_rows; ++i) {
+    const std::int32_t bias =
+        q8_offset_sum_.empty() ? 0 : q8_offset_sum_[row_begin + i];
+    std::fill(acc + i * bp, acc + (i + 1) * bp, -bias);
+  }
+  matmat_q8_block(q8_.data() + row_begin * cols_, cols_, n_rows, panel, bp,
+                  acc);
+  dequantize_q8_span<false>(
+      [acc, bp](std::size_t p) { return acc + p * bp; }, n_rows, nullptr,
+      row_scale_.data() + row_begin, x.scale.data(), batch,
+      y.data() + row_begin, y.cols());
+}
+
+std::size_t PackedDenseMatrix::q8_scratch_words(std::size_t batch) const {
+  const std::size_t bp = (batch + 7) & ~std::size_t{7};
+  return bp * (q8_lane_groups(cols_) + rows_);
 }
 
 Matrix PackedDenseMatrix::to_dense() const {
@@ -167,7 +206,8 @@ std::size_t PackedDenseMatrix::memory_bytes() const {
   } else if (precision_ == WeightPrecision::kInt8PerTensor) {
     scale_bytes = sizeof(float);
   }
-  return size() * bytes_per_weight(precision_) + scale_bytes;
+  return size() * bytes_per_weight(precision_) + scale_bytes +
+         q8_offset_sum_.size() * sizeof(std::int32_t);
 }
 
 }  // namespace rtmobile

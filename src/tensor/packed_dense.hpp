@@ -49,13 +49,25 @@ class PackedDenseMatrix {
   void gemm_rows(const Matrix& x, Matrix& y, std::size_t batch,
                  std::size_t row_begin, std::size_t row_end) const;
 
-  /// Same over int8-quantized activations (int8 weight storage only):
-  /// codes multiply codes with exact int32 accumulation, dequantized
-  /// once per (row, stream) as i32 * row_scale[r] * x.scale[b]. Within
-  /// the activation grid's rounding slack of gemm_rows, not bitwise.
+  /// Same over int8-quantized activations (int8 weight storage only),
+  /// on the fused matmat PackedQuantizedBspc::spmm_stripe_list_q8 runs
+  /// (tensor/quant_dot.hpp), with rows [row_begin, row_end) as one
+  /// stripe of one block: the transpose()d panel is interleaved once,
+  /// codes multiply codes with exact int32 accumulation, and row b of Y
+  /// receives (float(sum) * row_scale[r]) * x.scale[b] for those rows,
+  /// in 8-row x 8-stream register tiles on AVX2 builds. Every build
+  /// writes the same bits, within the activation grid's rounding slack
+  /// of gemm_rows, not bitwise. `scratch` needs q8_scratch_words(batch)
+  /// int32 words; concurrent calls need disjoint scratch.
   void gemm_rows_q8(const QuantizedActivations& x, Matrix& y,
                     std::size_t batch, std::size_t row_begin,
-                    std::size_t row_end) const;
+                    std::size_t row_end,
+                    std::span<std::int32_t> scratch) const;
+
+  /// int32 scratch words gemm_rows_q8 needs at `batch`: the interleaved
+  /// panel of all cols() columns plus accumulators for all rows(), both
+  /// padded to 8-stream lanes.
+  [[nodiscard]] std::size_t q8_scratch_words(std::size_t batch) const;
 
   /// Dequantized dense reconstruction (for verification).
   [[nodiscard]] Matrix to_dense() const;
@@ -63,7 +75,8 @@ class PackedDenseMatrix {
   /// Entries that dequantize to a nonzero value.
   [[nodiscard]] std::size_t count_nonzero() const;
 
-  /// Values at their stored width plus scale overhead.
+  /// Values at their stored width plus scale overhead, plus the q8
+  /// kernel's per-row offset sums (AVX-VNNI builds).
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
@@ -73,6 +86,9 @@ class PackedDenseMatrix {
   std::vector<std::int8_t, AlignedAllocator<std::int8_t>> q8_;
   std::vector<std::uint16_t, AlignedAllocator<std::uint16_t>> f16_;
   std::vector<float, AlignedAllocator<float>> row_scale_;  // int8 only
+  /// Per row, kQ8PanelOffset * the sum of its int8 codes (see
+  /// PackedQuantizedBspc). Empty unless the build's q8 panel is offset.
+  std::vector<std::int32_t> q8_offset_sum_;
 };
 
 }  // namespace rtmobile

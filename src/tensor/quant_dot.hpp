@@ -12,25 +12,36 @@
 // bit-identical to each other within a build.
 //
 // The fused int8-activation matmat (interleave_q8_panel +
-// matmat_q8_block) accumulates code by code in int32, which is exact,
-// so its three builds return identical sums and differ only in panel
-// layout and instruction:
+// matmat_q8_block, then dequantize_q8_span) runs both int8 weight
+// formats: every BSPC stripe, and a dense matrix as one stripe of one
+// block. It accumulates code by code in int32, which is exact, so its
+// three builds return identical sums and differ only in panel layout and
+// instruction:
 //   - AVX-VNNI: kQ8PanelCols = 4 columns per 32-bit lane as unsigned
 //     bytes code + 128, one vpdpbusd (u8 x s8, 32 MACs) per 8 streams;
 //     the caller cancels the +128 with a pack-time per-row correction
 //     of kQ8PanelOffset * sum(row codes).
 //   - AVX2: 2 columns per lane as int16 codes, vpmaddwd + vpaddd.
 //   - scalar: the AVX2 layout, plain loops.
+// dequantize_q8_span then writes each (row, stream) sum as
+// (float(sum) * row_scale) * stream_scale. On AVX2 builds it transposes
+// 8-row x 8-stream tiles of sums in registers, so each stream's 8
+// consecutive outputs cost one convert, two multiplies and one add: the
+// scalar loop's roundings, in its order, so every build writes the same
+// bits.
 //
-// CMake compiles only the two TUs including this header with
-// -mavx2 -mfma (when the configuring host supports them; bspc_quant.cpp
-// also gets -mavxvnni when the host runs it) and -ffp-contract=off, so
-// the neighboring fp16 loops cannot be FMA-contracted away from the
-// simulation's arithmetic. Do not include this header from other
+// CMake compiles the two TUs including this header (bspc_quant.cpp and
+// packed_dense.cpp) with identical flags: -mavx2 -mfma -mf16c, plus
+// -mavxvnni when the configuring host runs it (each only when the host
+// supports it), and -ffp-contract=off, so neither the fp16 loops nor the
+// dequantization can be FMA-contracted away from the simulation's
+// arithmetic. Identical flags also give both TUs the same kQ8PanelCols
+// and matmat_q8_block. Do not include this header from other
 // translation units: the ISA split is per-TU and would otherwise violate
 // the one-definition rule.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -40,6 +51,8 @@
 #if (defined(__AVX2__) && defined(__FMA__)) || defined(__F16C__)
 #include <immintrin.h>
 #endif
+
+#include "tensor/fp32_lanes.hpp"
 
 namespace rtmobile {
 
@@ -133,33 +146,6 @@ inline float dot_q8_f32_indexed(const std::int8_t* q, const float* x,
   float tail = 0.0F;
   for (; k < n; ++k) tail += static_cast<float>(q[k]) * x[idx[k]];
   return quant_detail::reduce_lanes(acc) + tail;
-}
-
-/// sum_k q[k] * a[k] in int32 — the fused path's int8-weight x
-/// int8-activation dot. Integer accumulation is exact, so unlike the
-/// float trees above this needs no fixed summation order: the AVX2
-/// madd_epi16 path and the scalar fallback return identical sums for
-/// any input. Overflow-safe for any realistic n: |q*a| <= 127^2, so the
-/// int32 accumulator holds > 2^17 * 127^2 products.
-inline std::int32_t dot_q8_q8_i32(const std::int8_t* q,
-                                  const std::int8_t* a, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t k = 0;
-  for (; k + 16 <= n; k += 16) {
-    const __m256i qw = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + k)));
-    const __m256i aw = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + k)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(qw, aw));
-  }
-  alignas(32) std::int32_t lane[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lane), acc);
-  std::int32_t sum = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-                     ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-  for (; k < n; ++k) {
-    sum += static_cast<std::int32_t>(q[k]) * static_cast<std::int32_t>(a[k]);
-  }
-  return sum;
 }
 
 #if defined(__AVXVNNI__)
@@ -264,8 +250,8 @@ inline void dpbusd_q8_rows(const std::int8_t* w, std::size_t col_count,
 /// lane groups from interleave_q8_panel. The non-saturating vpdpbusd
 /// keeps every sum exact: |4 products| <= 4 * 255 * 127, and a whole row
 /// stays below 1024 * 255 * 127 < 2^31. Subtracting the row's
-/// kQ8PanelOffset * sum_k w[i][k] recovers the code-by-code sum, exactly
-/// equal to dot_q8_q8_i32 per stream.
+/// kQ8PanelOffset * sum_k w[i][k] recovers the exact code-by-code sum
+/// sum_k w[i][k] * a[k][b].
 inline void matmat_q8_block(const std::int8_t* w, std::size_t col_count,
                             std::size_t n_rows, const std::int32_t* panel,
                             std::size_t bp, std::int32_t* acc) {
@@ -298,7 +284,7 @@ inline constexpr std::int32_t kQ8PanelOffset = 0;
 /// columns and batch-pad lanes zeroed by the gather. Each weight pair is
 /// broadcast once and madd'ed across all streams, so there is no
 /// per-stream horizontal reduction at all; int32 accumulation keeps the
-/// result exactly equal to dot_q8_q8_i32 per stream.
+/// exact code-by-code sum per stream.
 inline void madd_q8_pairs(const std::int8_t* w, std::size_t n,
                           const std::int16_t* panel, std::size_t bp,
                           std::int32_t* acc) {
@@ -456,17 +442,6 @@ inline float dot_q8_f32_indexed(const std::int8_t* q, const float* x,
       q, n, [x, idx](std::size_t k) { return x[idx[k]]; });
 }
 
-/// Exact int32 accumulation — bit-identical to the AVX2 build by
-/// construction (integer addition is associative).
-inline std::int32_t dot_q8_q8_i32(const std::int8_t* q,
-                                  const std::int8_t* a, std::size_t n) {
-  std::int32_t sum = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    sum += static_cast<std::int32_t>(q[k]) * static_cast<std::int32_t>(a[k]);
-  }
-  return sum;
-}
-
 inline constexpr std::size_t kQ8PanelCols = 2;
 inline constexpr std::int32_t kQ8PanelOffset = 0;
 
@@ -511,5 +486,112 @@ inline void interleave_q8_panel(const std::int8_t* const* cols,
 }
 
 #endif
+
+// ---- int8 matmat scratch and dequantization (shared by every build) ----
+
+/// Panel lane groups the q8 matmat interleaves `cols` columns into.
+inline std::size_t q8_lane_groups(std::size_t cols) {
+  return (cols + kQ8PanelCols - 1) / kQ8PanelCols;
+}
+
+#if defined(__AVX2__) && defined(__FMA__)
+
+namespace quant_detail {
+
+/// One 8-row x 8-stream tile of dequantize_q8_span: rows[j] points at
+/// tile row j's int32 sums of the tile's 8 streams, `scale` at the tile
+/// rows' row_scale, `xs` at the streams' scales and `y` at the first
+/// stream's output for the first tile row (stream stride ld). The sums
+/// load as half-rows and transpose through float casts, which move bits
+/// without touching them. Straight-line code keeps the tile in
+/// registers, and every row of y is loaded before any is stored: y rows
+/// are 4 KiB apart in the serving panels, and a load that aliases a
+/// pending store modulo 4 KiB waits for it.
+template <bool kAccumulate>
+inline void dequantize_q8_tile(const std::int32_t* const (&rows)[8],
+                               const float* scale, const float* xs, float* y,
+                               std::size_t ld) {
+  const auto half_rows = [&rows](std::size_t i, std::size_t k) {
+    const auto lo = reinterpret_cast<const __m128i*>(rows[i] + k);
+    const auto hi = reinterpret_cast<const __m128i*>(rows[i + 4] + k);
+    return _mm256_castsi256_ps(
+        _mm256_set_m128i(_mm_loadu_si128(hi), _mm_loadu_si128(lo)));
+  };
+  __m256 h[8] = {half_rows(0, 0), half_rows(1, 0), half_rows(2, 0),
+                 half_rows(3, 0), half_rows(0, 4), half_rows(1, 4),
+                 half_rows(2, 4), half_rows(3, 4)};
+  fp32_lanes::transpose8_halves(h);
+  const __m256 rs = _mm256_loadu_ps(scale);
+  const auto scaled = [&](std::size_t s) {
+    const __m256 sums = _mm256_cvtepi32_ps(_mm256_castps_si256(h[s]));
+    __m256 v = _mm256_mul_ps(_mm256_mul_ps(sums, rs), _mm256_set1_ps(xs[s]));
+    if constexpr (kAccumulate) {
+      v = _mm256_add_ps(_mm256_loadu_ps(y + s * ld), v);
+    }
+    return v;
+  };
+  const __m256 v0 = scaled(0), v1 = scaled(1), v2 = scaled(2),
+               v3 = scaled(3), v4 = scaled(4), v5 = scaled(5),
+               v6 = scaled(6), v7 = scaled(7);
+  _mm256_storeu_ps(y, v0);
+  _mm256_storeu_ps(y + ld, v1);
+  _mm256_storeu_ps(y + 2 * ld, v2);
+  _mm256_storeu_ps(y + 3 * ld, v3);
+  _mm256_storeu_ps(y + 4 * ld, v4);
+  _mm256_storeu_ps(y + 5 * ld, v5);
+  _mm256_storeu_ps(y + 6 * ld, v6);
+  _mm256_storeu_ps(y + 7 * ld, v7);
+}
+
+}  // namespace quant_detail
+
+#endif
+
+/// The matmat's epilogue over one row span of `span` consecutive output
+/// rows: sums_at(p) points at span row p's int32 sums (bp stream lanes,
+/// from matmat_q8_block), or is `zero_row` (>= bp zero words) for a row
+/// without any. For streams b < batch and each row p with sums,
+///   y[b * ld + p] += (float(sum) * row_scale[p]) * xs[b]   (kAccumulate)
+///   y[b * ld + p]  = (float(sum) * row_scale[p]) * xs[b]   (otherwise),
+/// `y` and `row_scale` pointing at the span's first row. On AVX2 builds
+/// whole groups of 8 rows x 8 streams run as register tiles, in which a
+/// zero-row row adds exactly +0 to its finite y. Each output still gets
+/// the scalar loop's two roundings and one add, and y is touched only
+/// inside the span and below `batch`. The scalar loop takes what the
+/// tiles leave (the last span % 8 rows and batch % 8 streams), and
+/// everything on other builds.
+template <bool kAccumulate, class SumsAt>
+inline void dequantize_q8_span(const SumsAt& sums_at, std::size_t span,
+                               const std::int32_t* zero_row,
+                               const float* row_scale, const float* xs,
+                               std::size_t batch, float* y, std::size_t ld) {
+  std::size_t tiled_rows = 0;
+  std::size_t tiled_streams = 0;
+#if defined(__AVX2__) && defined(__FMA__)
+  tiled_rows = span & ~std::size_t{7};
+  tiled_streams = batch & ~std::size_t{7};
+  // Stream groups outermost: consecutive tiles then write different
+  // 32-byte slices of the same y rows instead of rows 4 KiB apart.
+  for (std::size_t b0 = 0; b0 < tiled_streams; b0 += 8) {
+    for (std::size_t r0 = 0; r0 < tiled_rows; r0 += 8) {
+      const std::int32_t* const tile[8] = {
+          sums_at(r0) + b0,     sums_at(r0 + 1) + b0, sums_at(r0 + 2) + b0,
+          sums_at(r0 + 3) + b0, sums_at(r0 + 4) + b0, sums_at(r0 + 5) + b0,
+          sums_at(r0 + 6) + b0, sums_at(r0 + 7) + b0};
+      quant_detail::dequantize_q8_tile<kAccumulate>(
+          tile, row_scale + r0, xs + b0, y + b0 * ld + r0, ld);
+    }
+  }
+#endif
+  for (std::size_t b = 0; b < batch; ++b) {
+    float* yb = y + b * ld;
+    for (std::size_t p = b < tiled_streams ? tiled_rows : 0; p < span; ++p) {
+      const std::int32_t* sums = sums_at(p);
+      if (sums == zero_row) continue;
+      const float v = static_cast<float>(sums[b]) * row_scale[p] * xs[b];
+      yb[p] = kAccumulate ? yb[p] + v : v;
+    }
+  }
+}
 
 }  // namespace rtmobile

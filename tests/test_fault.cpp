@@ -432,8 +432,12 @@ TEST(ShardSupervision, WedgedPumpStreamsGetTerminalAbortNotSilence) {
   config.engine.telemetry = &telemetry;
   config.supervisor.enabled = true;
   config.supervisor.check_interval = std::chrono::milliseconds(1);
-  config.supervisor.stall_timeout = std::chrono::milliseconds(20);
-  config.supervisor.park_grace = std::chrono::milliseconds(30);
+  // The healthy shard serves its whole utterance in one round once the
+  // victim is lost; under ThreadSanitizer on a loaded host that round
+  // has taken up to 75 ms, so the stall timeout must sit well above it
+  // or the healthy pump is declared stalled too.
+  config.supervisor.stall_timeout = std::chrono::milliseconds(200);
+  config.supervisor.park_grace = std::chrono::milliseconds(200);
   ShardedEngine engine(*f.model, f.masks, f.options, config);
 
   const StreamHandle doomed = engine.open_stream(StreamConfig{});
@@ -454,7 +458,7 @@ TEST(ShardSupervision, WedgedPumpStreamsGetTerminalAbortNotSilence) {
   FaultSpec wedge;
   wedge.trigger = Trigger::one_shot();
   wedge.key = victim;
-  wedge.stall = std::chrono::milliseconds(400);
+  wedge.stall = std::chrono::milliseconds(3200);
   injector.arm(Site::kPumpStall, wedge);
 
   ASSERT_TRUE(wait_for(
