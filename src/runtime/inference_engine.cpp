@@ -14,7 +14,9 @@ namespace rtmobile::runtime {
 
 InferenceEngine::InferenceEngine(const CompiledSpeechModel& model,
                                  EngineConfig config)
-    : model_(model), config_(std::move(config)) {
+    : model_(model),
+      config_(std::move(config)),
+      mfcc_(std::make_shared<const speech::MfccExtractor>(config_.mfcc)) {
   RT_REQUIRE(config_.max_batch > 0, "engine: max_batch must be positive");
   if (config_.stats_sample_cap != 0) {
     stats_.set_sample_cap(config_.stats_sample_cap);
@@ -25,19 +27,13 @@ InferenceEngine::InferenceEngine(const CompiledSpeechModel& model,
 }
 
 StreamingSession& InferenceEngine::create_session() {
-  return create_session(config_.mfcc);
+  return create_session(speech::StreamingDecoderConfig::none());
 }
 
 StreamingSession& InferenceEngine::create_session(
-    const speech::MfccConfig& mfcc) {
-  return create_session(mfcc, speech::StreamingDecoderConfig::none());
-}
-
-StreamingSession& InferenceEngine::create_session(
-    const speech::MfccConfig& mfcc,
     const speech::StreamingDecoderConfig& decode) {
   sessions_.push_back(
-      std::make_unique<StreamingSession>(next_id_++, model_, mfcc, decode));
+      std::make_unique<StreamingSession>(next_id_++, model_, mfcc_, decode));
   sessions_.back()->set_clock(&clock());
   sessions_.back()->set_telemetry(config_.telemetry);
   return *sessions_.back();

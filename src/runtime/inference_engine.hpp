@@ -86,8 +86,9 @@ struct EngineConfig {
   /// compute). The kCacheLookup fault site gates every lookup, so an
   /// injected cache failure degrades to plain compute.
   cache::CacheConfig cache;
-  /// Front-end defaults for sessions created without an explicit config
-  /// (CMN disabled — it is whole-utterance and cannot stream).
+  /// Front end of every session (CMN disabled — it is whole-utterance
+  /// and cannot stream). The engine builds its tables once, at
+  /// construction, and its sessions share them.
   speech::MfccConfig mfcc = [] {
     speech::MfccConfig config;
     config.cepstral_mean_norm = false;
@@ -102,16 +103,12 @@ class InferenceEngine {
   explicit InferenceEngine(const CompiledSpeechModel& model,
                            EngineConfig config = EngineConfig{});
 
-  /// Admits a new stream using the engine's default MFCC config (no
-  /// in-loop decoding).
+  /// Admits a new stream (no in-loop decoding). Every session runs the
+  /// front end of EngineConfig::mfcc on the engine's one extractor.
   StreamingSession& create_session();
-  /// Admits a new stream with a per-session front-end config (no in-loop
-  /// decoding).
-  StreamingSession& create_session(const speech::MfccConfig& mfcc);
-  /// Admits a new stream with a per-session front end and streaming
-  /// decoder (decode.mode == kNone collects logits only).
+  /// Admits a new stream with a streaming decoder (decode.mode == kNone
+  /// collects logits only).
   StreamingSession& create_session(
-      const speech::MfccConfig& mfcc,
       const speech::StreamingDecoderConfig& decode);
 
   [[nodiscard]] std::size_t session_count() const { return sessions_.size(); }
@@ -172,6 +169,10 @@ class InferenceEngine {
   void reset_stats() { stats_.reset(); }
 
   [[nodiscard]] const EngineConfig& config() const { return config_; }
+  /// The one MFCC extractor every session of this engine runs.
+  [[nodiscard]] const speech::MfccExtractor& front_end() const {
+    return *mfcc_;
+  }
   /// The engine's time source (the configured override or the built-in
   /// wall clock) — what sessions stamp arrivals with.
   [[nodiscard]] EngineClock& clock() {
@@ -208,6 +209,10 @@ class InferenceEngine {
 
   const CompiledSpeechModel& model_;
   EngineConfig config_;
+  /// The one MFCC extractor (window, FFT plan, mel bank, DCT tables) of
+  /// config_.mfcc. Sessions hold it too, so a session migrated to
+  /// another engine keeps it alive.
+  std::shared_ptr<const speech::MfccExtractor> mfcc_;
   WallClock wall_clock_;  // fallback when config_.clock is null
   std::vector<std::unique_ptr<StreamingSession>> sessions_;
   std::size_t next_id_ = 0;

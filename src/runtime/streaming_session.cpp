@@ -1,17 +1,21 @@
 #include "runtime/streaming_session.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/telemetry.hpp"
 #include "util/check.hpp"
 
 namespace rtmobile::runtime {
 
-StreamingSession::StreamingSession(std::size_t id,
-                                   const CompiledSpeechModel& model,
-                                   const speech::MfccConfig& mfcc,
-                                   const speech::StreamingDecoderConfig& decode)
-    : id_(id), model_(&model), mfcc_(mfcc), state_(model.make_state()) {
+StreamingSession::StreamingSession(
+    std::size_t id, const CompiledSpeechModel& model,
+    std::shared_ptr<const speech::MfccExtractor> mfcc,
+    const speech::StreamingDecoderConfig& decode)
+    : id_(id),
+      model_(&model),
+      mfcc_(std::move(mfcc)),
+      state_(model.make_state()) {
   RT_REQUIRE(mfcc_.feature_dim() == model.config().input_dim,
              "session: MFCC feature dimension must match model input");
   if (decode.mode != speech::DecodeMode::kNone) {
@@ -24,12 +28,6 @@ StreamingSession::StreamingSession(std::size_t id,
   capture_state(flat);
   prefix_cursor_ = cache::PrefixCursor::from_state(flat);
 }
-
-StreamingSession::StreamingSession(std::size_t id,
-                                   const CompiledSpeechModel& model,
-                                   const speech::MfccConfig& mfcc)
-    : StreamingSession(id, model, mfcc,
-                       speech::StreamingDecoderConfig::none()) {}
 
 void StreamingSession::rebind(const CompiledSpeechModel& model) {
   const ModelConfig& from = model_->config();

@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -44,17 +45,19 @@ namespace rtmobile::runtime {
 
 class StreamingSession {
  public:
-  /// `model` must outlive the session. `mfcc.cepstral_mean_norm` must be
-  /// false, and the feature dimension must match the model's input.
-  /// `decode.mode` selects in-loop decoding (kNone = logits only).
+  /// `model` must outlive the session. `mfcc` is the front end's
+  /// extractor, shared with the engine's other sessions (CMN disabled);
+  /// its feature dimension must match the model's input. `decode.mode`
+  /// selects in-loop decoding (kNone = logits only).
   StreamingSession(std::size_t id, const CompiledSpeechModel& model,
-                   const speech::MfccConfig& mfcc,
+                   std::shared_ptr<const speech::MfccExtractor> mfcc,
                    const speech::StreamingDecoderConfig& decode);
-  /// Logits-only session (decode mode kNone).
-  StreamingSession(std::size_t id, const CompiledSpeechModel& model,
-                   const speech::MfccConfig& mfcc);
 
   [[nodiscard]] std::size_t id() const { return id_; }
+  /// The front end's extractor (the engine's, shared by its sessions).
+  [[nodiscard]] const speech::MfccExtractor& front_end() const {
+    return mfcc_.extractor();
+  }
 
   /// Re-points the session at another compiled instance of the same
   /// model (identical dimensions required). Used when a serving shard

@@ -27,7 +27,7 @@ OpenResult LocalRecognizer::try_open_stream(const StreamConfig& config) {
   }
   // One engine: config.session_key has no routing to influence.
   runtime::StreamingSession& session =
-      engine_.create_session(engine_.config().mfcc, config.decode);
+      engine_.create_session(config.decode);
   session.set_deadline(config.deadline);
   const StreamHandle handle{next_id_++};
   streams_.emplace(handle.id, &session);

@@ -482,8 +482,7 @@ void ShardedEngine::apply(Shard& shard, StreamCommand&& command) {
     case StreamCommand::Kind::kOpen: {
       StreamEntry* e = try_entry(command.stream);
       if (e == nullptr) break;  // slot already reissued: drop
-      runtime::StreamingSession& session = shard.engine->create_session(
-          config_.engine.mfcc, command.decode);
+      runtime::StreamingSession& session = shard.engine->create_session(command.decode);
       session.set_deadline(command.deadline);
       shard.local.emplace(command.stream, &session);
       e->session.store(&session, std::memory_order_release);
@@ -1120,8 +1119,7 @@ bool ShardedEngine::probe_shard(Shard& shard) {
   // rejoins with no residue; any engine fault (including a still-armed
   // injection) fails the probe instead of escaping.
   try {
-    runtime::StreamingSession& session = shard.engine->create_session(
-        config_.engine.mfcc, speech::StreamingDecoderConfig::none());
+    runtime::StreamingSession& session = shard.engine->create_session();
     Rng rng(42);
     std::vector<float> samples(3200);
     for (float& x : samples) x = rng.uniform(-0.05F, 0.05F);

@@ -115,23 +115,73 @@ void circular_convolve_naive(std::span<const float> a,
   }
 }
 
-void power_spectrum(std::span<const float> frame, std::size_t fft_size,
-                    std::span<float> power,
-                    std::span<Complex> fft_scratch) {
+FftPlan::FftPlan(std::size_t fft_size) {
   RT_REQUIRE(is_power_of_two(fft_size), "FFT size must be a power of two");
-  RT_REQUIRE(frame.size() <= fft_size, "signal longer than FFT size");
-  RT_REQUIRE(power.size() == fft_size / 2 + 1,
-             "power_spectrum: output must hold fft_size/2+1 bins");
-  RT_REQUIRE(fft_scratch.size() == fft_size,
-             "power_spectrum: scratch must hold fft_size entries");
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    fft_scratch[i] = Complex(static_cast<double>(frame[i]), 0.0);
+  bit_reverse_.resize(fft_size);
+  twiddle_re_.resize(fft_size - 1);
+  twiddle_im_.resize(fft_size - 1);
+  // fft_inplace's swap loop, recorded as a permutation.
+  for (std::size_t i = 0; i < fft_size; ++i) {
+    bit_reverse_[i] = static_cast<std::uint32_t>(i);
   }
-  std::fill(fft_scratch.begin() + static_cast<std::ptrdiff_t>(frame.size()),
-            fft_scratch.end(), Complex(0.0, 0.0));
-  fft_inplace(fft_scratch, /*inverse=*/false);
+  for (std::size_t i = 1, j = 0; i < fft_size; ++i) {
+    std::size_t bit = fft_size >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(bit_reverse_[i], bit_reverse_[j]);
+  }
+  for (std::size_t len = 2; len <= fft_size; len <<= 1) {
+    const double angle = -2.0 * std::numbers::pi / static_cast<double>(len);
+    const Complex w_len(std::cos(angle), std::sin(angle));
+    Complex w(1.0, 0.0);
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      twiddle_re_[len / 2 - 1 + k] = w.real();
+      twiddle_im_[len / 2 - 1 + k] = w.imag();
+      w *= w_len;
+    }
+  }
+}
+
+void power_spectrum(std::span<const float> frame, const FftPlan& plan,
+                    std::span<float> power, std::span<double> scratch) {
+  const std::size_t n = plan.size();
+  RT_REQUIRE(frame.size() <= n, "signal longer than FFT size");
+  RT_REQUIRE(power.size() == n / 2 + 1,
+             "power_spectrum: output must hold fft_size/2+1 bins");
+  RT_REQUIRE(scratch.size() == 2 * n,
+             "power_spectrum: scratch must hold 2 * fft_size doubles");
+  double* re = scratch.data();
+  double* im = scratch.data() + n;
+  // Load the zero-padded frame already permuted: slot i holds input
+  // bit_reverse_[i], where fft_inplace's swaps would have moved it.
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t src = plan.bit_reverse_[i];
+    re[i] = src < frame.size() ? static_cast<double>(frame[src]) : 0.0;
+    im[i] = 0.0;
+  }
+  // fft_inplace's butterflies, with v = x * w spelled out as the
+  // (ac - bd, ad + bc) that std::complex multiplication computes.
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const double* w_re = plan.twiddle_re_.data() + half - 1;
+    const double* w_im = plan.twiddle_im_.data() + half - 1;
+    for (std::size_t i = 0; i < n; i += len) {
+      double* u_re = re + i;
+      double* u_im = im + i;
+      double* x_re = re + i + half;
+      double* x_im = im + i + half;
+      for (std::size_t k = 0; k < half; ++k) {
+        const double v_re = x_re[k] * w_re[k] - x_im[k] * w_im[k];
+        const double v_im = x_re[k] * w_im[k] + x_im[k] * w_re[k];
+        x_re[k] = u_re[k] - v_re;
+        x_im[k] = u_im[k] - v_im;
+        u_re[k] = u_re[k] + v_re;
+        u_im[k] = u_im[k] + v_im;
+      }
+    }
+  }
   for (std::size_t i = 0; i < power.size(); ++i) {
-    power[i] = static_cast<float>(std::norm(fft_scratch[i]));
+    power[i] = static_cast<float>(re[i] * re[i] + im[i] * im[i]);
   }
 }
 

@@ -37,19 +37,25 @@ MelFilterBank::MelFilterBank(const MfccConfig& config)
   const double hz_per_bin =
       config.sample_rate_hz / static_cast<double>(config.fft_size);
 
-  filters_.resize(n);
+  runs_.resize(n);
   for (std::size_t f = 0; f < n; ++f) {
-    auto& weights = filters_[f];
-    weights.assign(num_bins_, 0.0F);
     const double left = edges_hz[f];
     const double center = edges_hz[f + 1];
     const double right = edges_hz[f + 2];
+    Run& run = runs_[f];
+    run.first_bin = num_bins_;
+    run.offset = weights_.size();
+    run.count = 0;
+    // The support (left, right) is open and bin frequencies ascend, so
+    // the bins inside it are one contiguous run.
     for (std::size_t bin = 0; bin < num_bins_; ++bin) {
       const double hz = static_cast<double>(bin) * hz_per_bin;
       if (hz <= left || hz >= right) continue;
       const double w = hz <= center ? (hz - left) / (center - left)
                                     : (right - hz) / (right - center);
-      weights[bin] = static_cast<float>(w);
+      if (run.count == 0) run.first_bin = bin;
+      weights_.push_back(static_cast<float>(w));
+      ++run.count;
     }
   }
 }
@@ -58,26 +64,32 @@ void MelFilterBank::apply(std::span<const float> power_spectrum,
                           std::span<float> energies) const {
   RT_REQUIRE(power_spectrum.size() == num_bins_,
              "power spectrum bin count mismatch");
-  RT_REQUIRE(energies.size() == filters_.size(),
+  RT_REQUIRE(energies.size() == runs_.size(),
              "mel energies must hold num_filters values");
-  for (std::size_t f = 0; f < filters_.size(); ++f) {
+  for (std::size_t f = 0; f < runs_.size(); ++f) {
+    const Run& run = runs_[f];
+    const float* weights = weights_.data() + run.offset;
+    const float* power = power_spectrum.data() + run.first_bin;
     double acc = 0.0;
-    const auto& weights = filters_[f];
-    for (std::size_t bin = 0; bin < num_bins_; ++bin) {
-      acc += static_cast<double>(weights[bin]) *
-             static_cast<double>(power_spectrum[bin]);
+    for (std::size_t j = 0; j < run.count; ++j) {
+      acc += static_cast<double>(weights[j]) * static_cast<double>(power[j]);
     }
     energies[f] = static_cast<float>(acc);
   }
 }
 
-std::span<const float> MelFilterBank::filter(std::size_t f) const {
-  RT_REQUIRE(f < filters_.size(), "filter index out of range");
-  return {filters_[f].data(), filters_[f].size()};
+std::vector<float> MelFilterBank::filter(std::size_t f) const {
+  RT_REQUIRE(f < runs_.size(), "filter index out of range");
+  const Run& run = runs_[f];
+  std::vector<float> dense(num_bins_, 0.0F);
+  std::copy_n(weights_.begin() + static_cast<std::ptrdiff_t>(run.offset),
+              run.count,
+              dense.begin() + static_cast<std::ptrdiff_t>(run.first_bin));
+  return dense;
 }
 
 MfccExtractor::MfccExtractor(const MfccConfig& config)
-    : config_(config), mel_bank_(config) {
+    : config_(config), mel_bank_(config), fft_plan_(config.fft_size) {
   RT_REQUIRE(config.frame_length > 0 && config.frame_shift > 0,
              "frame geometry must be positive");
   RT_REQUIRE(is_power_of_two(config.fft_size) &&
@@ -94,17 +106,18 @@ MfccExtractor::MfccExtractor(const MfccConfig& config)
                                static_cast<double>(window_.size() - 1)));
   }
 
-  // Orthonormal DCT-II rows: dct_[c][m].
+  // Orthonormal DCT-II, stored transposed (see dct_t_).
   const std::size_t m_count = config.num_mel_filters;
-  dct_.resize(config.num_cepstra * m_count);
-  for (std::size_t c = 0; c < config.num_cepstra; ++c) {
+  const std::size_t c_count = config.num_cepstra;
+  dct_t_.resize(c_count * m_count);
+  for (std::size_t c = 0; c < c_count; ++c) {
     const double scale = c == 0 ? std::sqrt(1.0 / static_cast<double>(m_count))
                                 : std::sqrt(2.0 / static_cast<double>(m_count));
     for (std::size_t m = 0; m < m_count; ++m) {
-      dct_[c * m_count + m] = static_cast<float>(
+      dct_t_[m * c_count + c] = static_cast<double>(static_cast<float>(
           scale * std::cos(std::numbers::pi * static_cast<double>(c) *
                            (static_cast<double>(m) + 0.5) /
-                           static_cast<double>(m_count)));
+                           static_cast<double>(m_count))));
     }
   }
 }
@@ -122,47 +135,41 @@ void MfccExtractor::extract_frame(std::span<const float> samples,
                                   float prev_sample,
                                   std::span<float> cepstra,
                                   FrameScratch& scratch) const {
-  extract_frame_impl(samples, prev_sample, cepstra, scratch.frame,
-                     scratch.fft, scratch.power, scratch.mel);
-}
-
-void MfccExtractor::extract_frame_impl(std::span<const float> samples,
-                                       float prev_sample,
-                                       std::span<float> cepstra,
-                                       std::span<float> frame,
-                                       std::span<Complex> fft,
-                                       std::span<float> power,
-                                       std::span<float> mel) const {
   RT_REQUIRE(samples.size() == config_.frame_length,
              "extract_frame: window must be frame_length samples");
   RT_REQUIRE(cepstra.size() == config_.num_cepstra,
              "extract_frame: output must hold num_cepstra values");
-  RT_REQUIRE(frame.size() == config_.frame_length &&
-                 fft.size() == config_.fft_size &&
-                 power.size() == config_.fft_size / 2 + 1 &&
-                 mel.size() == config_.num_mel_filters,
+  RT_REQUIRE(scratch.frame.size() == config_.frame_length &&
+                 scratch.fft.size() == 2 * config_.fft_size &&
+                 scratch.power.size() == config_.fft_size / 2 + 1 &&
+                 scratch.mel.size() == config_.num_mel_filters &&
+                 scratch.dct.size() == config_.num_cepstra,
              "extract_frame: scratch sized for a different config");
 
   // Pre-emphasis + Hamming window.
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    const float previous = i > 0 ? samples[i - 1] : prev_sample;
-    frame[i] = (samples[i] -
-                static_cast<float>(config_.preemphasis) * previous) *
-               window_[i];
+  const float alpha = static_cast<float>(config_.preemphasis);
+  std::vector<float>& frame = scratch.frame;
+  frame[0] = (samples[0] - alpha * prev_sample) * window_[0];
+  for (std::size_t i = 1; i < frame.size(); ++i) {
+    frame[i] = (samples[i] - alpha * samples[i - 1]) * window_[i];
   }
-  rtmobile::power_spectrum(frame, config_.fft_size, power, fft);
-  mel_bank_.apply(power, mel);
-  for (float& e : mel) {
-    e = std::log(std::max(e, 1e-10F));  // floor avoids log(0)
-  }
-  // DCT-II to cepstra.
-  for (std::size_t c = 0; c < config_.num_cepstra; ++c) {
-    double acc = 0.0;
-    const float* row = dct_.data() + c * config_.num_mel_filters;
-    for (std::size_t m = 0; m < mel.size(); ++m) {
-      acc += static_cast<double>(row[m]) * static_cast<double>(mel[m]);
+  rtmobile::power_spectrum(frame, fft_plan_, scratch.power, scratch.fft);
+  mel_bank_.apply(scratch.power, scratch.mel);
+  // Log compression, then the DCT-II band by band: each cepstrum sums
+  // its products in ascending band order, as the row-major form does.
+  const std::size_t c_count = config_.num_cepstra;
+  double* acc = scratch.dct.data();
+  std::fill_n(acc, c_count, 0.0);
+  for (std::size_t m = 0; m < scratch.mel.size(); ++m) {
+    const double log_energy = static_cast<double>(
+        std::log(std::max(scratch.mel[m], 1e-10F)));  // floor avoids log(0)
+    const double* column = dct_t_.data() + m * c_count;
+    for (std::size_t c = 0; c < c_count; ++c) {
+      acc[c] += column[c] * log_energy;
     }
-    cepstra[c] = static_cast<float>(acc);
+  }
+  for (std::size_t c = 0; c < c_count; ++c) {
+    cepstra[c] = static_cast<float>(acc[c]);
   }
 }
 

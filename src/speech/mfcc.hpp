@@ -5,6 +5,14 @@
 // 10 ms hop, 512-point FFT, 26 mel filters, 13 cepstra; with Δ and ΔΔ the
 // feature dimension is 39 — the same per-frame dimension the paper's GRU
 // consumes.
+//
+// Table ownership: an MfccExtractor builds every table its per-frame
+// kernel reads (Hamming window, FftPlan, sparse mel bank, transposed DCT)
+// once, in its constructor, and never mutates them, so one extractor is
+// safe to share across threads. The serving runtime builds one per
+// InferenceEngine and every StreamingMfcc of that engine holds it
+// through a shared_ptr; per-stream state is only a FrameScratch and the
+// stream's sample and cepstra buffers.
 #pragma once
 
 #include <cstddef>
@@ -35,25 +43,36 @@ struct MfccConfig {
 /// Mel scale -> frequency (Hz).
 [[nodiscard]] double mel_to_hz(double mel);
 
-/// Precomputed triangular mel filter bank over FFT bins.
+/// Precomputed triangular mel filter bank over FFT bins. Each triangle
+/// is stored as one run of weights over the bins strictly inside its
+/// support; every other bin's weight is zero.
 class MelFilterBank {
  public:
   explicit MelFilterBank(const MfccConfig& config);
 
-  [[nodiscard]] std::size_t num_filters() const { return filters_.size(); }
+  [[nodiscard]] std::size_t num_filters() const { return runs_.size(); }
 
-  /// Applies the bank to a power spectrum (fft_size/2+1 bins), writing
-  /// num_filters() energies into `energies`. Allocation-free — the
-  /// per-frame path of the streaming front end.
+  /// Applies the bank to a power spectrum (fft_size/2+1 bins, each
+  /// >= 0), writing num_filters() energies into `energies`. Each energy
+  /// is summed in double over the run's bins in ascending order, so it
+  /// equals the dense sum over filter(f) bit for bit: the bins skipped
+  /// would only add +0. Allocation-free — the per-frame path of the
+  /// streaming front end.
   void apply(std::span<const float> power_spectrum,
              std::span<float> energies) const;
 
-  /// Triangle weights of filter `f` (over all bins; zero outside support).
-  [[nodiscard]] std::span<const float> filter(std::size_t f) const;
+  /// Triangle weights of filter `f` over all bins (zero outside support).
+  [[nodiscard]] std::vector<float> filter(std::size_t f) const;
 
  private:
+  struct Run {
+    std::size_t first_bin;
+    std::size_t offset;  // into weights_
+    std::size_t count;
+  };
   std::size_t num_bins_;
-  std::vector<std::vector<float>> filters_;
+  std::vector<Run> runs_;
+  std::vector<float> weights_;
 };
 
 /// Computes the MFCC (+Δ, +ΔΔ) matrix of a waveform: one row per frame.
@@ -73,20 +92,22 @@ class MfccExtractor {
   [[nodiscard]] Matrix extract(std::span<const float> waveform) const;
 
   /// Every buffer one frame's extraction touches: the windowed frame,
-  /// the FFT workspace, the power-spectrum bins, and the mel energies.
-  /// Per-frame callers (extract(), the streaming front end) construct
-  /// one of these once and reuse it, which makes the 10 ms frame path
-  /// allocation-free.
+  /// the FFT workspace, the power-spectrum bins, the mel energies and
+  /// the DCT accumulators. Per-frame callers (extract(), the streaming
+  /// front end) construct one of these once and reuse it, which makes
+  /// the 10 ms frame path allocation-free.
   struct FrameScratch {
     explicit FrameScratch(const MfccConfig& config)
         : frame(config.frame_length),
-          fft(config.fft_size),
+          fft(2 * config.fft_size),
           power(config.fft_size / 2 + 1),
-          mel(config.num_mel_filters) {}
+          mel(config.num_mel_filters),
+          dct(config.num_cepstra) {}
     std::vector<float> frame;
-    std::vector<Complex> fft;
+    std::vector<double> fft;
     std::vector<float> power;
     std::vector<float> mel;
+    std::vector<double> dct;
   };
 
   /// Cepstra of a single frame: `samples` is the frame_length-sample
@@ -100,16 +121,13 @@ class MfccExtractor {
                      std::span<float> cepstra, FrameScratch& scratch) const;
 
  private:
-  /// The whole per-frame pipeline over caller-provided buffers.
-  void extract_frame_impl(std::span<const float> samples, float prev_sample,
-                          std::span<float> cepstra, std::span<float> frame,
-                          std::span<Complex> fft, std::span<float> power,
-                          std::span<float> mel) const;
-
   MfccConfig config_;
   MelFilterBank mel_bank_;
-  std::vector<float> window_;      // Hamming coefficients
-  std::vector<float> dct_;         // [num_cepstra x num_mel_filters]
+  FftPlan fft_plan_;
+  std::vector<float> window_;   // Hamming coefficients
+  // Orthonormal DCT-II, transposed: dct_t_[m * num_cepstra + c] is the
+  // float coefficient of (cepstrum c, mel band m), widened to double.
+  std::vector<double> dct_t_;
 };
 
 /// Regression window of the Δ/ΔΔ features and its normalizer

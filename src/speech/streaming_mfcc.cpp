@@ -1,6 +1,7 @@
 #include "speech/streaming_mfcc.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -16,11 +17,21 @@ constexpr float kDeltaDenominator = kDeltaRegressionDenominator;
 constexpr std::size_t kDeltaLookahead =
     2 * static_cast<std::size_t>(kDeltaWindow);
 
+std::shared_ptr<const MfccExtractor> require_extractor(
+    std::shared_ptr<const MfccExtractor> extractor) {
+  RT_REQUIRE(extractor != nullptr, "streaming MFCC needs an extractor");
+  return extractor;
+}
+
 }  // namespace
 
 StreamingMfcc::StreamingMfcc(const MfccConfig& config)
-    : extractor_(config), frame_scratch_(config) {
-  RT_REQUIRE(!config.cepstral_mean_norm,
+    : StreamingMfcc(std::make_shared<const MfccExtractor>(config)) {}
+
+StreamingMfcc::StreamingMfcc(std::shared_ptr<const MfccExtractor> extractor)
+    : extractor_(require_extractor(std::move(extractor))),
+      frame_scratch_(extractor_->config()) {
+  RT_REQUIRE(!config().cepstral_mean_norm,
              "streaming MFCC cannot apply per-utterance CMN; disable "
              "cepstral_mean_norm");
 }
@@ -28,6 +39,7 @@ StreamingMfcc::StreamingMfcc(const MfccConfig& config)
 void StreamingMfcc::push(std::span<const float> samples) {
   RT_REQUIRE(!finished_, "push after finish");
   buffer_.insert(buffer_.end(), samples.begin(), samples.end());
+  compact_base();
 
   const MfccConfig& cfg = config();
   const std::size_t dim = cfg.num_cepstra;
@@ -41,9 +53,10 @@ void StreamingMfcc::push(std::span<const float> samples) {
         offset > 0 ? buffer_[offset - 1]
                    : (frame_start > 0 ? prev_sample_ : 0.0F);
     base_.resize(base_.size() + dim);
-    extractor_.extract_frame({buffer_.data() + offset, cfg.frame_length},
-                             prev, {base_.data() + num_frames_ * dim, dim},
-                             frame_scratch_);
+    extractor_->extract_frame(
+        {buffer_.data() + offset, cfg.frame_length}, prev,
+        {base_.data() + (num_frames_ - base_first_) * dim, dim},
+        frame_scratch_);
     ++num_frames_;
   }
 
@@ -64,6 +77,19 @@ void StreamingMfcc::push(std::span<const float> samples) {
   }
 }
 
+void StreamingMfcc::compact_base() {
+  // The regression windows are symmetric: the next frame to pop reads
+  // base rows back to frames_emitted() - kDeltaLookahead as well.
+  const std::size_t lookback = config().add_deltas ? kDeltaLookahead : 0;
+  const std::size_t keep_from = emitted_ > lookback ? emitted_ - lookback : 0;
+  const std::size_t drop = keep_from - base_first_;
+  if (drop == 0 || drop < num_frames_ - keep_from) return;
+  base_.erase(base_.begin(),
+              base_.begin() +
+                  static_cast<std::ptrdiff_t>(drop * config().num_cepstra));
+  base_first_ = keep_from;
+}
+
 void StreamingMfcc::finish() { finished_ = true; }
 
 std::size_t StreamingMfcc::ready_frames() const {
@@ -79,8 +105,9 @@ std::size_t StreamingMfcc::ready_frames() const {
 std::span<const float> StreamingMfcc::base_row(std::size_t t) const {
   const std::size_t last = num_frames_ - 1;
   const std::size_t clamped = std::min(t, last);
+  RT_ASSERT(clamped >= base_first_, "base row already dropped");
   const std::size_t dim = config().num_cepstra;
-  return {base_.data() + clamped * dim, dim};
+  return {base_.data() + (clamped - base_first_) * dim, dim};
 }
 
 float StreamingMfcc::delta_at(std::size_t t, std::size_t d) const {

@@ -7,10 +7,16 @@
 // 4-frame lookahead so the regression windows see exactly the rows the
 // batch path sees. Cepstral mean normalization is whole-utterance (not
 // causal) and therefore unsupported here; configs must disable it.
+//
+// The extractor (and so every table the frame kernel reads) is shared:
+// a stream holds it through a shared_ptr, so streams of one engine use
+// one set of tables, and a stream that migrates to another engine keeps
+// its tables alive.
 #pragma once
 
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -24,14 +30,18 @@ class StreamingMfcc {
   static constexpr std::size_t kAllFrames =
       std::numeric_limits<std::size_t>::max();
 
-  /// `config.cepstral_mean_norm` must be false.
+  /// A stream over its own extractor. `config.cepstral_mean_norm` must
+  /// be false.
   explicit StreamingMfcc(const MfccConfig& config = MfccConfig{});
+  /// A stream over a shared extractor (non-null, CMN disabled).
+  explicit StreamingMfcc(std::shared_ptr<const MfccExtractor> extractor);
 
+  [[nodiscard]] const MfccExtractor& extractor() const { return *extractor_; }
   [[nodiscard]] const MfccConfig& config() const {
-    return extractor_.config();
+    return extractor_->config();
   }
   [[nodiscard]] std::size_t feature_dim() const {
-    return extractor_.feature_dim();
+    return extractor_->feature_dim();
   }
 
   /// Appends audio samples; computes cepstra for every frame that became
@@ -51,6 +61,13 @@ class StreamingMfcc {
 
   /// Frames already returned by pop_ready().
   [[nodiscard]] std::size_t frames_emitted() const { return emitted_; }
+
+  /// Base cepstral rows still held. Rows no future Δ/ΔΔ window can
+  /// reach are dropped as frames are popped, so a stream popped as it
+  /// goes holds a bounded number however long it runs.
+  [[nodiscard]] std::size_t retained_frames() const {
+    return num_frames_ - base_first_;
+  }
 
   /// Frames whose features are final and not yet popped. Without deltas
   /// every computed frame is final immediately; with deltas a frame
@@ -75,7 +92,11 @@ class StreamingMfcc {
   [[nodiscard]] float delta_at(std::size_t t, std::size_t d) const;
   [[nodiscard]] float delta2_at(std::size_t t, std::size_t d) const;
 
-  MfccExtractor extractor_;
+  /// Drops base rows below the oldest one a future row can read, once
+  /// at least as many rows go as stay (so each row moves O(1) times).
+  void compact_base();
+
+  std::shared_ptr<const MfccExtractor> extractor_;
   // Raw samples not yet fully consumed. buffer_[0] is absolute sample
   // index buffer_start_; prev_sample_ holds index buffer_start_ - 1 for
   // pre-emphasis continuity across compactions.
@@ -85,10 +106,13 @@ class StreamingMfcc {
   // Reused per-frame work buffers (window, FFT, power, mel): the 10 ms
   // frame path allocates nothing.
   MfccExtractor::FrameScratch frame_scratch_;
-  // Base cepstra, row-major [num_frames_ x num_cepstra]. Kept for the
-  // whole stream: the left-clamped Δ windows of early frames reference
-  // row 0, and at 13 floats per 10 ms the cost is ~5 KB per audio minute.
+  // Base cepstra of frames [base_first_, num_frames_), row-major. A
+  // frame's Δ/ΔΔ read base rows up to 2 * window back, so rows before
+  // frames_emitted() - 2 * window are dead; keeping every row would cost
+  // num_cepstra * 4 B per 10 ms frame (312 KB per audio minute at 13
+  // cepstra, 1.2 MB at 51).
   std::vector<float> base_;
+  std::size_t base_first_ = 0;
   std::size_t num_frames_ = 0;
   std::size_t emitted_ = 0;
   bool finished_ = false;

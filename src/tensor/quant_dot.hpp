@@ -42,6 +42,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -415,10 +416,9 @@ inline float dot_lanes(const std::int8_t* q, std::size_t n, LoadX load) {
   std::size_t k = 0;
   for (; k + 8 <= n; k += 8) {
     for (std::size_t j = 0; j < 8; ++j) {
-      // NOTE: matches the AVX2 build only when FMA contraction is off
-      // for this TU; the int8 parity tests are tolerance-based, so a
-      // contracted build is still correct, just not bit-equal to it.
-      lane[j] += static_cast<float>(q[k + j]) * load(k + j);
+      // One rounding per step, as _mm256_fmadd_ps in the AVX2 build, so
+      // both builds return the same bits (the tail is unfused in both).
+      lane[j] = std::fma(static_cast<float>(q[k + j]), load(k + j), lane[j]);
     }
   }
   float tail = 0.0F;

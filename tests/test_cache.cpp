@@ -85,8 +85,7 @@ Matrix serve_stream(InferenceEngine& engine, std::span<const float> wave,
                     std::size_t chunk,
                     const speech::StreamingDecoderConfig& decode,
                     std::vector<speech::StreamEvent>* events = nullptr) {
-  StreamingSession& session =
-      engine.create_session(engine.config().mfcc, decode);
+  StreamingSession& session = engine.create_session(decode);
   for (std::size_t pos = 0; pos < wave.size(); pos += chunk) {
     session.push_audio(wave.subspan(pos, std::min(chunk, wave.size() - pos)));
     engine.drain();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "sparse/fft.hpp"
@@ -42,6 +43,8 @@ TEST(Fft, PowerOfTwoHelpers) {
 TEST(Fft, RejectsNonPowerOfTwo) {
   std::vector<Complex> data(6);
   EXPECT_THROW(fft_inplace(data, false), std::invalid_argument);
+  EXPECT_THROW(FftPlan{0}, std::invalid_argument);
+  EXPECT_THROW(FftPlan{384}, std::invalid_argument);
 }
 
 class FftSizeTest : public ::testing::TestWithParam<std::size_t> {};
@@ -139,8 +142,8 @@ TEST(Fft, PowerSpectrumParseval) {
     time_energy += static_cast<double>(v) * static_cast<double>(v);
   }
   std::vector<float> power(kN / 2 + 1);
-  std::vector<Complex> fft_scratch(kN);
-  power_spectrum(signal, kN, power, fft_scratch);
+  std::vector<double> fft_scratch(2 * kN);
+  power_spectrum(signal, FftPlan(kN), power, fft_scratch);
   // Parseval: sum |X_k|^2 = N * sum x_n^2; reconstruct the full-spectrum
   // sum from the half spectrum (bins 1..N/2-1 appear twice).
   double freq_energy = static_cast<double>(power.front()) +
@@ -149,6 +152,40 @@ TEST(Fft, PowerSpectrumParseval) {
     freq_energy += 2.0 * static_cast<double>(power[k]);
   }
   EXPECT_NEAR(freq_energy / kN, time_energy, time_energy * 1e-5);
+}
+
+TEST(Fft, PowerSpectrumIsNormOfFftInplaceBitwise) {
+  // The plan's tables and butterflies must reproduce fft_inplace's
+  // arithmetic exactly: every bin is float(std::norm(X[k])) bit for bit,
+  // at every size, for frames shorter than the transform (zero padding),
+  // with one scratch reused dirty across calls.
+  Rng rng(23);
+  for (std::size_t n = 2; n <= 1024; n <<= 1) {
+    const FftPlan plan(n);
+    ASSERT_EQ(plan.size(), n);
+    std::vector<double> scratch(2 * n, 123.0);
+    std::vector<float> power(n / 2 + 1);
+    for (const std::size_t len : {n, n - 1, n / 2 + 1, std::size_t{1},
+                                  std::size_t{0}}) {
+      std::vector<float> frame(len);
+      const float scale = len % 2 == 0 ? 1e3F : 1e-3F;
+      for (float& v : frame) v = scale * rng.normal();
+      if (len > 2) frame[len / 2] = 0.0F;
+      power_spectrum(frame, plan, power, scratch);
+
+      std::vector<Complex> data(n, Complex(0.0, 0.0));
+      for (std::size_t i = 0; i < len; ++i) {
+        data[i] = Complex(static_cast<double>(frame[i]), 0.0);
+      }
+      fft_inplace(data, /*inverse=*/false);
+      for (std::size_t k = 0; k < power.size(); ++k) {
+        const float want = static_cast<float>(std::norm(data[k]));
+        ASSERT_EQ(std::memcmp(&power[k], &want, sizeof want), 0)
+            << "n=" << n << " len=" << len << " bin " << k << ": "
+            << power[k] << " vs " << want;
+      }
+    }
+  }
 }
 
 TEST(Fft, RealFftRejectsOversizedSignal) {

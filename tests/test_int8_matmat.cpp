@@ -13,7 +13,9 @@
 // with codes and scales from pack()'s formula, which pins the
 // dequantization's rounding order on every build. The transpose oracle
 // checks the column-major activation panel against a scalar transpose,
-// pad lanes included.
+// pad lanes included. The fp32-activation dot oracle pins the int8
+// weight x fp32 activation dots (dense gemv, BSPC spmv with and without
+// LRE) to one 8-lane fused multiply-add tree on every build.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -449,6 +451,84 @@ TEST(Int8MatmatOracle, TransposeEqualsScalarTransposeWithZeroPad) {
               << " lane " << b;
         }
       }
+    }
+  }
+}
+
+/// The summation tree dot_q8_f32 and dot_q8_f32_indexed promise: lane j
+/// accumulates elements k + j with one fused multiply-add per step
+/// (_mm256_fmadd_ps on AVX2 builds), the lanes reduce pairwise as
+/// reduce_lanes does, and the n % 8 tail adds unfused.
+float dot_q8_oracle(const std::vector<int>& codes,
+                    const std::vector<float>& x) {
+  float lane[8] = {};
+  const std::size_t n = codes.size();
+  std::size_t k = 0;
+  for (; k + 8 <= n; k += 8) {
+    for (std::size_t j = 0; j < 8; ++j) {
+      lane[j] = std::fma(static_cast<float>(codes[k + j]), x[k + j], lane[j]);
+    }
+  }
+  float tail = 0.0F;
+  for (; k < n; ++k) {
+    const float product = static_cast<float>(codes[k]) * x[k];
+    tail += product;
+  }
+  return (((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+          ((lane[4] + lane[5]) + (lane[6] + lane[7]))) +
+         tail;
+}
+
+TEST(Int8MatmatOracle, Fp32ActivationDotsAreTheFusedLaneTree) {
+  // Integer weights peaking at 127 give every row scale exactly 1, so
+  // each output is the dot itself (times 1, or added to a zeroed y).
+  Rng rng(91);
+  for (const std::size_t n : {0U, 1U, 7U, 8U, 9U, 153U, 1024U}) {
+    const std::size_t width = n + 3;  // columns the block skips
+    std::vector<std::uint32_t> kept(width);
+    for (std::size_t c = 0; c < width; ++c) {
+      kept[c] = static_cast<std::uint32_t>(c);
+    }
+    rng.shuffle(kept);
+    kept.resize(n);
+    std::sort(kept.begin(), kept.end());
+
+    std::vector<int> codes(n);
+    for (std::size_t k = 0; k < n; ++k) codes[k] = random_code(rng);
+    if (n > 0) codes[n / 2] = n % 2 == 0 ? 127 : -127;
+    std::vector<float> x(width);
+    for (float& v : x) v = rng.normal();
+    std::vector<float> gathered(n);
+    Matrix dense(1, n, 0.0F);
+    Matrix sparse(1, width, 0.0F);
+    for (std::size_t k = 0; k < n; ++k) {
+      gathered[k] = x[kept[k]];
+      dense(0, k) = static_cast<float>(codes[k]);
+      sparse(0, kept[k]) = static_cast<float>(codes[k]);
+    }
+    const float want = dot_q8_oracle(codes, gathered);
+
+    // dot_q8_f32 through the dense gemv (row scale 1; 0 for an empty row).
+    const PackedDenseMatrix packed_dense =
+        PackedDenseMatrix::pack(dense, WeightPrecision::kInt8PerRow);
+    std::vector<float> y(1, 1.0F);
+    packed_dense.gemv(gathered, y);
+    EXPECT_TRUE(same_bits(y[0], want * (n > 0 ? 1.0F : 0.0F)))
+        << "dense gemv n=" << n << ": " << y[0] << " vs " << want;
+
+    if (n == 0) continue;  // a row with no kept column has no BSPC block
+    BlockMask mask(1, width, 1, 1);
+    mask.set_block_cols(0, 0, kept);
+    const PackedQuantizedBspc packed = PackedQuantizedBspc::pack(
+        BspcMatrix::from_dense(sparse, mask), WeightPrecision::kInt8PerRow);
+    const std::vector<std::uint32_t> stripes = {0};
+    // dot_q8_f32 on the LRE gather, then dot_q8_f32_indexed.
+    for (const bool use_lre : {true, false}) {
+      y.assign(1, 0.0F);
+      packed.spmv_stripe_list(x, y, stripes, use_lre);
+      EXPECT_TRUE(same_bits(y[0], 0.0F + want))
+          << "bspc spmv n=" << n << " lre=" << use_lre << ": " << y[0]
+          << " vs " << want;
     }
   }
 }

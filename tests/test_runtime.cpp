@@ -4,6 +4,7 @@
 // equality with independent single-session runs, and the stats collector.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
 #include <vector>
@@ -54,6 +55,32 @@ void push_chunked(StreamingMfcc& mfcc, std::span<const float> wave,
     mfcc.push(wave.subspan(pos, std::min(chunk, wave.size() - pos)));
   }
   mfcc.finish();
+}
+
+/// True when `row` holds the same floats as `want`, bit for bit.
+bool same_bits(std::span<const float> row, std::span<const float> want) {
+  return row.size() == want.size() &&
+         std::memcmp(row.data(), want.data(), row.size_bytes()) == 0;
+}
+
+/// Moves every feature frame `session` has queued into `out` (no model
+/// step: the front end's output as the engine would see it).
+void take_frames(StreamingSession& session,
+                 std::vector<std::vector<float>>& out) {
+  while (session.frame_ready()) {
+    const std::span<const float> frame = session.front_frame();
+    out.emplace_back(frame.begin(), frame.end());
+    session.pop_frame();
+  }
+}
+
+/// Checks `frames` against the rows of `batch` bit for bit.
+void expect_batch_rows(const std::vector<std::vector<float>>& frames,
+                       const Matrix& batch) {
+  ASSERT_EQ(frames.size(), batch.rows());
+  for (std::size_t t = 0; t < frames.size(); ++t) {
+    ASSERT_TRUE(same_bits(frames[t], batch.row(t))) << "frame " << t;
+  }
 }
 
 /// A small BSP-pruned compiled model plus its pool, for streaming tests.
@@ -177,6 +204,37 @@ TEST(StreamingMfcc, HandlesShiftLargerThanFrameLength) {
   }
 }
 
+TEST(StreamingMfcc, LongStreamHoldsBoundedRowsAndMatchesBatch) {
+  // 30 s pushed in 10 ms chunks and popped as it goes, as a serving
+  // session does: every row stays bitwise equal to batch extraction,
+  // and the base cepstra held stay a few Δ/ΔΔ windows (9 rows) deep
+  // instead of growing to all 2998 frames.
+  const MfccConfig config = streaming_mfcc_config();
+  const std::vector<float> wave = random_waveform(30 * 16000, 33);
+  const Matrix batch = MfccExtractor(config).extract(wave);
+
+  StreamingMfcc streaming(config);
+  std::vector<float> row(streaming.feature_dim());
+  std::size_t t = 0;
+  std::size_t max_retained = 0;
+  const auto pop_all = [&] {
+    while (streaming.pop_row(row)) {
+      ASSERT_LT(t, batch.rows());
+      ASSERT_TRUE(same_bits(row, batch.row(t))) << "row " << t;
+      ++t;
+    }
+  };
+  for (std::size_t pos = 0; pos < wave.size(); pos += 160) {
+    streaming.push(std::span<const float>(wave).subspan(pos, 160));
+    max_retained = std::max(max_retained, streaming.retained_frames());
+    pop_all();
+  }
+  streaming.finish();
+  pop_all();
+  EXPECT_EQ(t, batch.rows());
+  EXPECT_LE(max_retained, 32U);
+}
+
 TEST(StreamingMfcc, RejectsCepstralMeanNorm) {
   MfccConfig config;
   config.cepstral_mean_norm = true;
@@ -193,8 +251,10 @@ TEST(StreamingSession, ChunkedLogitsMatchWholeUtteranceInfer) {
     TestDeployment d = make_deployment(32, threads, 100 + threads);
     const Matrix reference = d.compiled->infer(features);
 
-    InferenceEngine engine(*d.compiled);
-    StreamingSession& session = engine.create_session(mfcc);
+    EngineConfig config;
+    config.mfcc = mfcc;
+    InferenceEngine engine(*d.compiled, config);
+    StreamingSession& session = engine.create_session();
     for (std::size_t pos = 0; pos < wave.size(); pos += 1600) {  // 100 ms
       session.push_audio(std::span<const float>(wave).subspan(
           pos, std::min<std::size_t>(1600, wave.size() - pos)));
@@ -208,6 +268,74 @@ TEST(StreamingSession, ChunkedLogitsMatchWholeUtteranceInfer) {
     ASSERT_EQ(streamed.rows(), reference.rows());
     EXPECT_EQ(streamed, reference) << "threads=" << threads;  // bitwise
   }
+}
+
+TEST(InferenceEngine, SessionsShareTheEngineFrontEnd) {
+  // Both sessions run the engine's one extractor. Closing one mid-stream
+  // leaves the other's features bitwise equal to batch extraction.
+  const MfccConfig mfcc = streaming_mfcc_config();
+  TestDeployment d = make_deployment(16, 1, 61);
+  EngineConfig config;
+  config.mfcc = mfcc;
+  InferenceEngine engine(*d.compiled, config);
+  StreamingSession& a = engine.create_session();
+  StreamingSession& b = engine.create_session();
+  EXPECT_EQ(&a.front_end(), &engine.front_end());
+  EXPECT_EQ(&b.front_end(), &engine.front_end());
+
+  const std::vector<float> wave_a = random_waveform(16000, 62);
+  const std::vector<float> wave_b = random_waveform(12000, 63);
+  std::vector<std::vector<float>> frames_a;
+  std::vector<std::vector<float>> frames_b;
+  for (std::size_t pos = 0; pos < wave_b.size(); pos += 160) {
+    if (pos == 8000) {  // close a mid-stream
+      (void)engine.release_session(&a);
+      ASSERT_EQ(engine.session_count(), 1U);
+    }
+    if (pos < 8000) {
+      a.push_audio(std::span<const float>(wave_a).subspan(pos, 160));
+      take_frames(a, frames_a);
+    }
+    b.push_audio(std::span<const float>(wave_b).subspan(pos, 160));
+    take_frames(b, frames_b);
+  }
+  b.finish();
+  take_frames(b, frames_b);
+  expect_batch_rows(frames_b, MfccExtractor(mfcc).extract(wave_b));
+  EXPECT_GT(frames_a.size(), 0U);
+}
+
+TEST(InferenceEngine, MigratedSessionKeepsItsFrontEndAlive) {
+  // A session released from an engine and adopted by another keeps the
+  // tables it was built on, even after the first engine is destroyed.
+  const MfccConfig mfcc = streaming_mfcc_config();
+  TestDeployment d = make_deployment(16, 1, 64);
+  EngineConfig config;
+  config.mfcc = mfcc;
+  const std::vector<float> wave = random_waveform(12000, 65);
+  std::vector<std::vector<float>> frames;
+  std::unique_ptr<StreamingSession> moving;
+  std::size_t pos = 0;
+  {
+    InferenceEngine source(*d.compiled, config);
+    StreamingSession& session = source.create_session();
+    for (; pos < 6000; pos += 160) {
+      session.push_audio(std::span<const float>(wave).subspan(pos, 160));
+      take_frames(session, frames);
+    }
+    moving = source.release_session(&session);
+  }
+  InferenceEngine target(*d.compiled, config);
+  StreamingSession& session = target.adopt_session(std::move(moving));
+  EXPECT_NE(&session.front_end(), &target.front_end());
+  for (; pos < wave.size(); pos += 160) {
+    session.push_audio(std::span<const float>(wave).subspan(
+        pos, std::min<std::size_t>(160, wave.size() - pos)));
+    take_frames(session, frames);
+  }
+  session.finish();
+  take_frames(session, frames);
+  expect_batch_rows(frames, MfccExtractor(mfcc).extract(wave));
 }
 
 // ------------------------------------------------- batched multi-stream
@@ -225,8 +353,10 @@ TEST(InferenceEngine, BatchedSessionsMatchIndependentRuns) {
         d.compiled->infer(MfccExtractor(mfcc).extract(waves.back())));
   }
 
-  InferenceEngine engine(*d.compiled);
-  for (std::size_t s = 0; s < kStreams; ++s) engine.create_session(mfcc);
+  EngineConfig config;
+  config.mfcc = mfcc;
+  InferenceEngine engine(*d.compiled, config);
+  for (std::size_t s = 0; s < kStreams; ++s) engine.create_session();
 
   // Feed streams unevenly (different chunk sizes), pumping as we go.
   std::vector<std::size_t> positions(kStreams, 0);
@@ -292,6 +422,11 @@ TEST(InferenceEngine, DefaultStatsRecordersStayCapped) {
   TestDeployment d = make_deployment(8, 1, 91);
   EngineConfig config;
   config.max_batch = 1;  // one frame per step
+  // A tiny front end keeps the cap + 1000 frames cheap.
+  config.mfcc.frame_length = 32;
+  config.mfcc.frame_shift = 32;
+  config.mfcc.fft_size = 32;
+  config.mfcc.num_mel_filters = 13;
   InferenceEngine engine(*d.compiled, config);
   const runtime::RuntimeStats& stats = engine.stats();
   const std::size_t cap = stats.step_latency.cap();
@@ -299,13 +434,7 @@ TEST(InferenceEngine, DefaultStatsRecordersStayCapped) {
   EXPECT_EQ(stats.lag.cap(), cap);
   EXPECT_EQ(stats.fused_width.cap(), cap);
 
-  // A tiny front end keeps the cap + 1000 frames cheap.
-  MfccConfig mfcc = streaming_mfcc_config();
-  mfcc.frame_length = 32;
-  mfcc.frame_shift = 32;
-  mfcc.fft_size = 32;
-  mfcc.num_mel_filters = 13;
-  StreamingSession& session = engine.create_session(mfcc);
+  StreamingSession& session = engine.create_session();
   const std::vector<float> wave = random_waveform(32 * 4096, 92);
   while (stats.steps <= cap + 1000) {
     session.push_audio(wave);

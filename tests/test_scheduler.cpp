@@ -93,8 +93,7 @@ EngineConfig engine_config(ManualClock& clock, SchedulerPolicy scheduler,
 /// queued (stamped with the clock's current time).
 StreamingSession& add_stream(InferenceEngine& engine, std::size_t samples,
                              std::uint64_t seed, double budget_seconds) {
-  StreamingSession& session =
-      engine.create_session(streaming_mfcc_config());
+  StreamingSession& session = engine.create_session();
   session.set_deadline(StreamDeadline{budget_seconds});
   session.push_audio(random_waveform(samples, seed));
   session.finish();
@@ -219,8 +218,7 @@ TEST(OverloadPolicyActions, ShedDropsOnlyOverdueFramesAndEmitsDegraded) {
                          engine_config(clock, SchedulerPolicy::kLagAware,
                                        OverloadPolicy::kShed,
                                        /*max_batch=*/1));
-  StreamingSession& session =
-      engine.create_session(streaming_mfcc_config());
+  StreamingSession& session = engine.create_session();
   session.set_deadline(StreamDeadline{0.1});
 
   // First cohort at t=0, second at t=150ms (the first is then 50 ms past
@@ -283,8 +281,7 @@ TEST(OverloadPolicyActions, EventsInterleaveInEmissionOrder) {
                                        /*max_batch=*/1));
   speech::StreamingDecoderConfig decode;
   decode.greedy = speech::DecoderConfig{1, 1};  // eager hypothesis events
-  StreamingSession& session =
-      engine.create_session(streaming_mfcc_config(), decode);
+  StreamingSession& session = engine.create_session(decode);
   session.set_deadline(StreamDeadline{0.1});
 
   session.push_audio(random_waveform(1600, 3));  // cohort 1 at t=0
@@ -323,8 +320,7 @@ TEST(OverloadPolicyActions, RejectTerminatesStreamAndEmitsRejected) {
   // A decoding session: the decoder must finalize (its final hypothesis
   // event) before the terminal kRejected control event.
   speech::StreamingDecoderConfig decode;  // greedy default
-  StreamingSession& session =
-      engine.create_session(streaming_mfcc_config(), decode);
+  StreamingSession& session = engine.create_session(decode);
   session.set_deadline(StreamDeadline{0.1});
   session.push_audio(random_waveform(3200, 9));
 

@@ -2,9 +2,14 @@
 // waveform synthesis, the synthetic corpus, decoding, and PER scoring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numbers>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "speech/corpus.hpp"
 #include "speech/decoder.hpp"
@@ -12,6 +17,7 @@
 #include "speech/per.hpp"
 #include "speech/phones.hpp"
 #include "speech/synth.hpp"
+#include "sparse/fft.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -85,6 +91,132 @@ TEST(Mfcc, FilterBankPartitionsSpectrum) {
     const double hz = static_cast<double>(b) * hz_per_bin;
     if (hz > 300.0 && hz < 7000.0) {
       EXPECT_GT(total[b], 0.0F) << "gap in mel coverage at " << hz << " Hz";
+    }
+  }
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(Mfcc, SparseMelBankEqualsDenseSumBitwise) {
+  // apply() walks each triangle's run only; it must equal the double sum
+  // over every bin of filter(f), in ascending order, bit for bit —
+  // including spectra with zero and denormal bins.
+  const float denormal = std::numeric_limits<float>::denorm_min();
+  for (const std::size_t filters : {26U, 64U}) {
+    MfccConfig config;
+    config.num_mel_filters = filters;
+    const MelFilterBank bank(config);
+    const std::size_t bins = config.fft_size / 2 + 1;
+    Rng rng(filters);
+    std::vector<std::vector<float>> spectra(3, std::vector<float>(bins));
+    for (std::size_t b = 0; b < bins; ++b) {
+      const float v = rng.normal();
+      spectra[0][b] = b % 7 == 0   ? 0.0F
+                      : b % 5 == 0 ? denormal * static_cast<float>(b)
+                                   : v * v * (b % 3 == 0 ? 1e6F : 1.0F);
+      spectra[1][b] = 0.0F;
+      spectra[2][b] = denormal * static_cast<float>(1 + b % 4);
+    }
+    std::vector<float> energies(bank.num_filters());
+    for (const std::vector<float>& power : spectra) {
+      bank.apply(power, energies);
+      for (std::size_t f = 0; f < bank.num_filters(); ++f) {
+        const std::vector<float> weights = bank.filter(f);
+        double acc = 0.0;
+        for (std::size_t b = 0; b < bins; ++b) {
+          acc += static_cast<double>(weights[b]) *
+                 static_cast<double>(power[b]);
+        }
+        EXPECT_TRUE(same_bits(energies[f], static_cast<float>(acc)))
+            << filters << " filters, filter " << f;
+      }
+    }
+  }
+}
+
+/// One frame's cepstra computed the direct way: fft_inplace, dense mel
+/// sums over filter(f), and the DCT-II row by row (cepstrum-major).
+std::vector<float> reference_cepstra(const MfccConfig& config,
+                                     std::span<const float> samples,
+                                     float prev_sample) {
+  const std::size_t n = config.frame_length;
+  std::vector<Complex> spectrum(config.fft_size, Complex(0.0, 0.0));
+  for (std::size_t i = 0; i < n; ++i) {
+    const float window = static_cast<float>(
+        0.54 - 0.46 * std::cos(2.0 * std::numbers::pi *
+                               static_cast<double>(i) /
+                               static_cast<double>(n - 1)));
+    const float previous = i > 0 ? samples[i - 1] : prev_sample;
+    spectrum[i] = Complex(
+        static_cast<double>(
+            (samples[i] - static_cast<float>(config.preemphasis) * previous) *
+            window),
+        0.0);
+  }
+  fft_inplace(spectrum, /*inverse=*/false);
+  const MelFilterBank bank(config);
+  const std::size_t m_count = config.num_mel_filters;
+  std::vector<float> log_mel(m_count);
+  for (std::size_t f = 0; f < m_count; ++f) {
+    const std::vector<float> weights = bank.filter(f);
+    double acc = 0.0;
+    for (std::size_t b = 0; b < weights.size(); ++b) {
+      acc += static_cast<double>(weights[b]) *
+             static_cast<double>(static_cast<float>(std::norm(spectrum[b])));
+    }
+    log_mel[f] = std::log(std::max(static_cast<float>(acc), 1e-10F));
+  }
+  std::vector<float> cepstra(config.num_cepstra);
+  for (std::size_t c = 0; c < cepstra.size(); ++c) {
+    const double scale = std::sqrt((c == 0 ? 1.0 : 2.0) /
+                                   static_cast<double>(m_count));
+    double acc = 0.0;
+    for (std::size_t m = 0; m < m_count; ++m) {
+      const float coefficient = static_cast<float>(
+          scale * std::cos(std::numbers::pi * static_cast<double>(c) *
+                           (static_cast<double>(m) + 0.5) /
+                           static_cast<double>(m_count)));
+      acc += static_cast<double>(coefficient) *
+             static_cast<double>(log_mel[m]);
+    }
+    cepstra[c] = static_cast<float>(acc);
+  }
+  return cepstra;
+}
+
+TEST(Mfcc, FrameKernelEqualsRowMajorReferenceBitwise) {
+  // extract_frame (FftPlan, sparse mel runs, DCT summed band by band)
+  // must equal the direct formulation bit for bit, on loud, quiet and
+  // silent frames.
+  std::vector<MfccConfig> configs(4);
+  configs[1].num_mel_filters = 64;  // the serving benchmark's front end
+  configs[1].num_cepstra = 51;
+  configs[2].fft_size = 1024;
+  configs[2].num_mel_filters = 80;
+  configs[2].num_cepstra = 80;
+  configs[2].low_freq_hz = 0.0;
+  configs[3].frame_length = 32;
+  configs[3].frame_shift = 32;
+  configs[3].fft_size = 32;
+  configs[3].num_mel_filters = 13;
+  for (const MfccConfig& config : configs) {
+    const MfccExtractor mfcc(config);
+    MfccExtractor::FrameScratch scratch(config);
+    std::vector<float> cepstra(config.num_cepstra);
+    Rng rng(config.num_mel_filters);
+    for (const float amplitude : {3e4F, 0.1F, 1e-6F, 0.0F}) {
+      std::vector<float> wave(config.frame_length + 1);
+      for (float& s : wave) s = amplitude * rng.normal();
+      const std::span<const float> samples{wave.data() + 1,
+                                           config.frame_length};
+      mfcc.extract_frame(samples, wave[0], cepstra, scratch);
+      const std::vector<float> want =
+          reference_cepstra(config, samples, wave[0]);
+      for (std::size_t c = 0; c < want.size(); ++c) {
+        EXPECT_TRUE(same_bits(cepstra[c], want[c]))
+            << config.num_mel_filters << " filters, amplitude " << amplitude
+            << ", cepstrum " << c << ": " << cepstra[c] << " vs " << want[c];
+      }
     }
   }
 }
