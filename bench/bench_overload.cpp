@@ -157,9 +157,6 @@ OverloadResult run_overload(const BenchSetup& setup,
   engine_config.scheduler = scenario.scheduler;
   engine_config.overload = scenario.overload;
   engine_config.clock = &clock;
-  // Bounded-memory recorders: an overload soak records one lag sample
-  // per 10 ms step — the capped mode is what keeps hours-long runs flat.
-  engine_config.stats_sample_cap = 8192;
   serve::LocalRecognizer recognizer(*setup.compiled, engine_config);
 
   serve::StreamConfig stream_config;

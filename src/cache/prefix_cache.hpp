@@ -62,15 +62,13 @@ namespace rtmobile::cache {
 }
 
 /// Where in prefix space one stream currently is: the 128-bit signature
-/// chain and the frames folded in. Sessions carry one by value (it
-/// migrates with the stream) and the engine advances it once per
-/// consumed feature frame — on the compute path and the cache-hit path
-/// alike, so the chain always describes the frames the hidden state
-/// actually evolved through.
+/// chain. Sessions carry one by value (it migrates with the stream) and
+/// the engine advances it once per consumed feature frame — on the
+/// compute path and the cache-hit path alike, so the chain always
+/// describes the frames the hidden state actually evolved through.
 struct PrefixCursor {
   std::uint64_t sig_lo = 0;
   std::uint64_t sig_hi = 0;
-  std::uint64_t depth = 0;  // feature frames folded into the chain
 
   /// Cursor for a stream about to consume its first frame: fingerprints
   /// the initial hidden state (exact bits), so models or states that
@@ -80,18 +78,13 @@ struct PrefixCursor {
     PrefixCursor c;
     c.sig_lo = 0xCBF29CE484222325ULL;  // FNV-1a 64 offset basis
     c.sig_hi = 0x9E3779B185EBCA87ULL;
-    c.fold(state);
+    c.advance(state);
     return c;
   }
 
-  /// Folds one feature frame's exact bit pattern into the chain.
-  void advance(std::span<const float> frame) {
-    fold(frame);
-    ++depth;
-  }
-
- private:
-  void fold(std::span<const float> values) {
+  /// Folds the exact bit pattern of one feature frame (or, from
+  /// from_state, the initial hidden state) into the chain.
+  void advance(std::span<const float> values) {
     std::uint64_t lo = sig_lo;
     std::uint64_t hi = sig_hi;
     for (const float v : values) {

@@ -36,8 +36,8 @@ struct StreamState {
 /// What one step_batch dispatch actually ran: the compute width (streams
 /// advanced) and whether that width was batched (width > 1: every weight
 /// matrix driven once over a multi-row panel) or a single stream's
-/// matvecs. The engine mirrors this into RuntimeStats / telemetry
-/// (rt_fused_steps_total etc.).
+/// matvecs. The engine counts it once, for RuntimeStats and
+/// rt_fused_steps_total alike.
 struct StepResult {
   std::size_t width = 0;
   bool fused = false;

@@ -8,8 +8,8 @@
 // path stays allocation-free and lock-free. Snapshots read every cell
 // and render the result as Prometheus text exposition format or JSON;
 // counter reads are exact (atomic adds never lose increments), which is
-// what lets a /metrics scrape be asserted equal to StatsAggregator
-// totals after a deterministic workload.
+// what lets a /metrics scrape be asserted equal to the engines' merged
+// stats after a deterministic workload.
 //
 // Registration is idempotent: asking for an existing (name, labels) pair
 // returns the same instrument (the kind must match), so layers that are
@@ -43,6 +43,7 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const {
     return cell_.load(std::memory_order_relaxed);
   }
+  void reset() { cell_.store(0, std::memory_order_relaxed); }
 
  private:
   alignas(64) std::atomic<std::uint64_t> cell_{0};

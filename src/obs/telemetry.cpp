@@ -2,43 +2,92 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <type_traits>
 
 namespace rtmobile::obs {
 
+namespace {
+
+/// One engine-cell family: the EngineCells member and its metric name.
+/// A `level` (a residency) is summed over live engines, never retired.
+template <class Cell>
+struct Family {
+  Cell EngineCells::*cell;
+  const char* name;
+  const char* help;
+  bool level = false;
+};
+
+constexpr Family<Counter> kEngineCounters[] = {
+    {&EngineCells::frames, "rt_engine_frames_total",
+     "Feature frames served by engine steps"},
+    {&EngineCells::steps, "rt_engine_steps_total",
+     "Engine scheduling rounds executed"},
+    {&EngineCells::deadline_misses, "rt_engine_deadline_misses_total",
+     "Frames served after waiting past their stream's deadline budget"},
+    {&EngineCells::shed_frames, "rt_engine_shed_frames_total",
+     "Frames dropped by the overload policy (shed or reject)"},
+    {&EngineCells::rejected_streams, "rt_engine_rejected_streams_total",
+     "Streams terminated by OverloadPolicy::kReject"},
+    {&EngineCells::fused_steps, "rt_fused_steps_total",
+     "Scheduling rounds whose batch ran the fused batched-matmat step"},
+    {&EngineCells::fallback_steps, "rt_fallback_steps_total",
+     "Scheduling rounds whose batch fell back to per-stream matvecs"},
+    {&EngineCells::cache_hits, "rt_cache_hits_total",
+     "Frames served from the prefix result cache (compute skipped)"},
+    {&EngineCells::cache_misses, "rt_cache_misses_total",
+     "Frames that fell through the prefix cache to model compute"},
+    {&EngineCells::cache_evictions, "rt_cache_evictions_total",
+     "Prefix-cache entries evicted by the byte budget"},
+    {&EngineCells::cache_inserted_bytes, "rt_cache_bytes_total",
+     "Cumulative bytes memoized into the prefix cache"},
+};
+
+constexpr Family<Gauge> kEngineGauges[] = {
+    {&EngineCells::busy_us, "rt_engine_busy_us",
+     "Wall microseconds spent inside engine steps"},
+    {&EngineCells::audio_seconds, "rt_engine_audio_seconds",
+     "Audio seconds represented by the frames served"},
+    {&EngineCells::cache_bytes, "rt_cache_resident_bytes",
+     "Current prefix-cache residency, summed over live engines", true},
+};
+
+/// Appends a synthesized sample: a counter for an integer value, a
+/// gauge for a floating-point one.
+template <class Value>
+void append(MetricsSnapshot& snap, const char* name, const char* help,
+            Value value, Labels labels = {}) {
+  MetricSample& sample = snap.samples.emplace_back();
+  sample.name = name;
+  sample.help = help;
+  sample.labels = std::move(labels);
+  if constexpr (std::is_floating_point_v<Value>) {
+    sample.kind = InstrumentKind::kGauge;
+    sample.gauge_value = value;
+  } else {
+    sample.counter_value = value;
+  }
+}
+
+}  // namespace
+
+void EngineCells::reset() {
+  for (const auto& family : kEngineCounters) (this->*family.cell).reset();
+  for (const auto& family : kEngineGauges) {
+    if (!family.level) (this->*family.cell).set(0.0);
+  }
+}
+
 Telemetry::Telemetry(std::size_t span_ring_capacity)
     : trace_(span_ring_capacity) {
-  engine_.frames = &registry_.counter(
-      "rt_engine_frames_total", "Feature frames served by engine steps");
-  engine_.steps = &registry_.counter("rt_engine_steps_total",
-                                     "Engine scheduling rounds executed");
-  engine_.deadline_misses = &registry_.counter(
-      "rt_engine_deadline_misses_total",
-      "Frames served after waiting past their stream's deadline budget");
-  engine_.shed_frames = &registry_.counter(
-      "rt_engine_shed_frames_total",
-      "Frames dropped by the overload policy (shed or reject)");
-  engine_.rejected_streams = &registry_.counter(
-      "rt_engine_rejected_streams_total",
-      "Streams terminated by OverloadPolicy::kReject");
-  engine_.busy_us = &registry_.gauge(
-      "rt_engine_busy_us", "Wall microseconds spent inside engine steps");
-  engine_.audio_seconds = &registry_.gauge(
-      "rt_engine_audio_seconds",
-      "Audio seconds represented by the frames served");
-  engine_.step_latency_us = &registry_.histogram(
+  histograms_.step_latency_us = &registry_.histogram(
       "rt_engine_step_latency_us", "Engine scheduling-round latency",
       default_latency_buckets_us());
-  engine_.lag_us = &registry_.histogram(
+  histograms_.lag_us = &registry_.histogram(
       "rt_engine_lag_us",
       "Per-round worst head-frame wait across ready streams",
       default_latency_buckets_us());
-  engine_.fused_steps = &registry_.counter(
-      "rt_fused_steps_total",
-      "Scheduling rounds whose batch ran the fused batched-matmat step");
-  engine_.fallback_steps = &registry_.counter(
-      "rt_fallback_steps_total",
-      "Scheduling rounds whose batch fell back to per-stream matvecs");
-  engine_.fused_batch_width = &registry_.histogram(
+  histograms_.fused_batch_width = &registry_.histogram(
       "rt_fused_batch_width",
       "Streams advanced per fused step (compute panel width)",
       {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
@@ -65,22 +114,6 @@ Telemetry::Telemetry(std::size_t span_ring_capacity)
   net_.connections = &registry_.gauge("rt_net_connections",
                                       "Live TCP connections");
 
-  cache_.hits = &registry_.counter(
-      "rt_cache_hits_total",
-      "Frames served from the prefix result cache (compute skipped)");
-  cache_.misses = &registry_.counter(
-      "rt_cache_misses_total",
-      "Frames that fell through the prefix cache to model compute");
-  cache_.evictions = &registry_.counter(
-      "rt_cache_evictions_total",
-      "Prefix-cache entries evicted by the byte budget");
-  cache_.inserted_bytes = &registry_.counter(
-      "rt_cache_bytes_total",
-      "Cumulative bytes memoized into the prefix cache");
-  cache_.resident_bytes = &registry_.gauge(
-      "rt_cache_resident_bytes",
-      "Current prefix-cache residency across engines on this telemetry");
-
   fault_.injected = &registry_.counter(
       "rt_fault_injected_total", "Faults fired by the FaultInjector");
   fault_.detected = &registry_.counter(
@@ -99,6 +132,25 @@ Telemetry::Telemetry(std::size_t span_ring_capacity)
       "Connections reaped by the idle/write-stall deadline timers");
 }
 
+void Telemetry::attach(const EngineCells& cells) {
+  const std::lock_guard<std::mutex> lock(engines_mutex_);
+  engines_.push_back(&cells);
+}
+
+void Telemetry::retire(EngineCells& cells, bool detach) {
+  const std::lock_guard<std::mutex> lock(engines_mutex_);
+  for (const auto& family : kEngineCounters) {
+    (retired_.*family.cell).add((cells.*family.cell).value());
+  }
+  for (const auto& family : kEngineGauges) {
+    if (!family.level) {
+      (retired_.*family.cell).add((cells.*family.cell).value());
+    }
+  }
+  cells.reset();
+  if (detach) std::erase(engines_, &cells);
+}
+
 Gauge& Telemetry::shard_gauge(const std::string& name,
                               const std::string& help, std::size_t shard) {
   return registry_.gauge(name, help,
@@ -107,46 +159,43 @@ Gauge& Telemetry::shard_gauge(const std::string& name,
 
 MetricsSnapshot Telemetry::snapshot() const {
   MetricsSnapshot snap = registry_.snapshot();
+  {
+    // Summed in attach order after the retired total, as GlobalStats
+    // merges shards in order, so even the gauges match bit for bit.
+    const std::lock_guard<std::mutex> lock(engines_mutex_);
+    const auto total = [this](const auto& family) {
+      auto value = (retired_.*family.cell).value();
+      for (const EngineCells* cells : engines_) {
+        value += (cells->*family.cell).value();
+      }
+      return value;
+    };
+    for (const auto& family : kEngineCounters) {
+      append(snap, family.name, family.help, total(family));
+    }
+    for (const auto& family : kEngineGauges) {
+      append(snap, family.name, family.help, total(family));
+    }
+  }
   const std::array<StageStats, kStageCount> stages = trace_.stage_stats();
+  const auto stage = [](std::size_t s) {
+    return Labels{{"stage", std::string(stage_name(static_cast<Stage>(s)))}};
+  };
   for (std::size_t s = 0; s < kStageCount; ++s) {
-    const Labels labels{
-        {"stage", std::string(stage_name(static_cast<Stage>(s)))}};
-    MetricSample count;
-    count.name = "rt_stage_spans_total";
-    count.help = "Spans recorded per pipeline stage";
-    count.labels = labels;
-    count.kind = InstrumentKind::kCounter;
-    count.counter_value = stages[s].count;
-    snap.samples.push_back(std::move(count));
+    append(snap, "rt_stage_spans_total", "Spans recorded per pipeline stage",
+           stages[s].count, stage(s));
   }
   for (std::size_t s = 0; s < kStageCount; ++s) {
-    const Labels labels{
-        {"stage", std::string(stage_name(static_cast<Stage>(s)))}};
-    MetricSample total;
-    total.name = "rt_stage_us_total";
-    total.help = "Microseconds spent per pipeline stage";
-    total.labels = labels;
-    total.kind = InstrumentKind::kGauge;
-    total.gauge_value = stages[s].total_us;
-    snap.samples.push_back(std::move(total));
+    append(snap, "rt_stage_us_total", "Microseconds spent per pipeline stage",
+           stages[s].total_us, stage(s));
   }
   for (std::size_t s = 0; s < kStageCount; ++s) {
-    const Labels labels{
-        {"stage", std::string(stage_name(static_cast<Stage>(s)))}};
-    MetricSample max;
-    max.name = "rt_stage_max_us";
-    max.help = "Worst single span per pipeline stage";
-    max.labels = labels;
-    max.kind = InstrumentKind::kGauge;
-    max.gauge_value = stages[s].max_us;
-    snap.samples.push_back(std::move(max));
+    append(snap, "rt_stage_max_us", "Worst single span per pipeline stage",
+           stages[s].max_us, stage(s));
   }
-  MetricSample dropped;
-  dropped.name = "rt_stage_spans_dropped_total";
-  dropped.help = "Raw spans overwritten in the per-thread rings";
-  dropped.kind = InstrumentKind::kCounter;
-  dropped.counter_value = trace_.dropped_spans();
-  snap.samples.push_back(std::move(dropped));
+  append(snap, "rt_stage_spans_dropped_total",
+         "Raw spans overwritten in the per-thread rings",
+         trace_.dropped_spans());
   return snap;
 }
 

@@ -1,15 +1,20 @@
 // The one observability object a serving process carries.
 //
 // Telemetry bundles a MetricsRegistry and a TraceCollector and
-// pre-registers the instruments every layer of the stack reports into:
-// engine counters that mirror RuntimeStats field-for-field (incremented
-// in the same statements, so a /metrics scrape equals StatsAggregator
-// totals exactly), scheduler overload counters, per-shard load gauges,
-// and the net front's connection counters. Layers receive a Telemetry*
-// (null = observability off, zero cost beyond the branch) through their
-// existing config structs: EngineConfig::telemetry reaches every
-// InferenceEngine and StreamingSession, ShardConfig rides the same
-// field, and ServerConfig::telemetry covers the epoll front.
+// pre-registers the shared instruments every layer reports into: the
+// engine histograms, per-shard load gauges, the fault chain and the net
+// front's connection counters. Layers receive a Telemetry* (null =
+// observability off, zero cost beyond the branch) through their existing
+// config structs: EngineConfig::telemetry reaches every InferenceEngine
+// and StreamingSession, ShardConfig rides the same field, and
+// ServerConfig::telemetry covers the epoll front.
+//
+// Engine counters are each engine's own EngineCells, attached here: the
+// rt_engine_*, rt_fused_*/rt_fallback_* and rt_cache_* families are the
+// sums of the attached cells plus what reset or destroyed engines
+// retired, so /metrics and the engines' merged RuntimeStats are one set
+// of numbers. The histograms stay shared registry instruments, because
+// RuntimeStats keeps exact nearest-rank quantiles that buckets cannot.
 //
 // Exposition: render_prometheus()/render_json() merge the registry
 // snapshot with synthesized per-stage span samples (and, in JSON, the
@@ -18,26 +23,39 @@
 #pragma once
 
 #include <cstddef>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace rtmobile::obs {
 
-/// Engine-side instruments, shared by every engine wired to the same
-/// Telemetry (shards sum into one family, which is what makes the
-/// scrape equal the cross-shard StatsAggregator totals).
-struct EngineMetrics {
-  Counter* frames = nullptr;            // == RuntimeStats::frames_processed
-  Counter* steps = nullptr;             // == RuntimeStats::steps
-  Counter* deadline_misses = nullptr;   // == RuntimeStats::deadline_misses
-  Counter* shed_frames = nullptr;       // == RuntimeStats::shed_frames
-  Counter* rejected_streams = nullptr;  // == RuntimeStats::rejected_streams
-  Counter* fused_steps = nullptr;       // == RuntimeStats::fused_steps
-  Counter* fallback_steps = nullptr;    // == RuntimeStats::fallback_steps
-  Gauge* busy_us = nullptr;             // ~= RuntimeStats::busy_us
-  Gauge* audio_seconds = nullptr;       // ~= RuntimeStats::audio_seconds
+/// One engine's serving counters, written only by the thread driving
+/// the engine and read by its stats() and by an attached Telemetry.
+struct EngineCells {
+  Counter frames;            // RuntimeStats::frames_processed
+  Counter steps;             // RuntimeStats::steps
+  Counter deadline_misses;   // RuntimeStats::deadline_misses
+  Counter shed_frames;       // RuntimeStats::shed_frames
+  Counter rejected_streams;  // RuntimeStats::rejected_streams
+  Counter fused_steps;       // RuntimeStats::fused_steps
+  Counter fallback_steps;    // RuntimeStats::fallback_steps
+  Counter cache_hits;        // RuntimeStats::cache_hits
+  Counter cache_misses;      // RuntimeStats::cache_misses
+  Counter cache_evictions;   // RuntimeStats::cache_evictions
+  Counter cache_inserted_bytes;  // scrape only (rt_cache_bytes_total)
+  Gauge busy_us;                 // RuntimeStats::busy_us
+  Gauge audio_seconds;           // RuntimeStats::audio_seconds
+  Gauge cache_bytes;  // RuntimeStats::cache_bytes, a level: never reset
+
+  /// Zeroes every running total.
+  void reset();
+};
+
+/// The engine histograms, shared by every engine on one Telemetry.
+struct EngineHistograms {
   Histogram* step_latency_us = nullptr;
   Histogram* lag_us = nullptr;
   /// Width of each fused compute panel — the batch-occupancy signal
@@ -57,19 +75,6 @@ struct NetMetrics {
   Counter* bytes_out = nullptr;
   Counter* scrapes = nullptr;
   Gauge* connections = nullptr;
-};
-
-/// Prefix-result-cache instruments, mirrored in the same statements as
-/// the RuntimeStats cache_* fields (so a scrape equals the
-/// StatsAggregator's merged totals exactly). Shards share the counter
-/// cells; resident_bytes sums shard residency at set time per engine —
-/// fleet residency is the StatsAggregator's merged cache_bytes.
-struct CacheMetrics {
-  Counter* hits = nullptr;            // == RuntimeStats::cache_hits
-  Counter* misses = nullptr;          // == RuntimeStats::cache_misses
-  Counter* evictions = nullptr;       // == RuntimeStats::cache_evictions
-  Counter* inserted_bytes = nullptr;  // cumulative bytes memoized
-  Gauge* resident_bytes = nullptr;    // current per-engine residency
 };
 
 /// Fault-layer instruments: the injected → detected → recovered chain
@@ -93,18 +98,25 @@ class Telemetry {
 
   MetricsRegistry& registry() { return registry_; }
   TraceCollector& trace() { return trace_; }
-  EngineMetrics& engine() { return engine_; }
+  EngineHistograms& histograms() { return histograms_; }
   NetMetrics& net() { return net_; }
   FaultMetrics& fault() { return fault_; }
-  CacheMetrics& cache() { return cache_; }
+
+  /// Adds `cells` to the engine families; they must stay put until
+  /// retired with `detach`.
+  void attach(const EngineCells& cells);
+  /// Moves `cells`' running totals into the retired totals and zeroes
+  /// them in one step, so no scrape goes backwards; with `detach`, the
+  /// families stop reading `cells`.
+  void retire(EngineCells& cells, bool detach);
 
   /// Registers (idempotently) a per-shard gauge, labeled shard="<s>".
   Gauge& shard_gauge(const std::string& name, const std::string& help,
                      std::size_t shard);
 
-  /// Registry snapshot extended with per-stage span samples
-  /// (rt_stage_count/rt_stage_us_total/rt_stage_max_us, labeled by
-  /// stage) and the span-ring drop counter.
+  /// Registry snapshot extended with the engine families, per-stage
+  /// span samples (rt_stage_count/rt_stage_us_total/rt_stage_max_us,
+  /// labeled by stage) and the span-ring drop counter.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   [[nodiscard]] std::string render_prometheus() const;
@@ -114,10 +126,12 @@ class Telemetry {
  private:
   MetricsRegistry registry_;
   TraceCollector trace_;
-  EngineMetrics engine_;
+  EngineHistograms histograms_;
   NetMetrics net_;
   FaultMetrics fault_;
-  CacheMetrics cache_;
+  mutable std::mutex engines_mutex_;  // guards engines_ and retired_
+  std::vector<const EngineCells*> engines_;
+  EngineCells retired_;  // running totals only; its level stays 0
 };
 
 }  // namespace rtmobile::obs

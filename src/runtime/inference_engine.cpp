@@ -18,11 +18,48 @@ InferenceEngine::InferenceEngine(const CompiledSpeechModel& model,
       config_(std::move(config)),
       mfcc_(std::make_shared<const speech::MfccExtractor>(config_.mfcc)) {
   RT_REQUIRE(config_.max_batch > 0, "engine: max_batch must be positive");
-  if (config_.stats_sample_cap != 0) {
-    stats_.set_sample_cap(config_.stats_sample_cap);
-  }
   if (config_.cache.enabled) {
     cache_ = std::make_unique<cache::PrefixCache>(config_.cache);
+  }
+  // Last, so no throw can leave the Telemetry reading a dead engine.
+  if (config_.telemetry != nullptr) config_.telemetry->attach(cells_);
+}
+
+InferenceEngine::~InferenceEngine() {
+  if (config_.telemetry != nullptr) {
+    config_.telemetry->retire(cells_, /*detach=*/true);
+  }
+}
+
+RuntimeStats InferenceEngine::stats() const {
+  RuntimeStats stats;
+  stats.step_latency = step_latency_;
+  stats.lag = lag_;
+  stats.fused_width = fused_width_;
+  stats.frames_processed = cells_.frames.value();
+  stats.steps = cells_.steps.value();
+  stats.busy_us = cells_.busy_us.value();
+  stats.audio_seconds = cells_.audio_seconds.value();
+  stats.deadline_misses = cells_.deadline_misses.value();
+  stats.shed_frames = cells_.shed_frames.value();
+  stats.rejected_streams = cells_.rejected_streams.value();
+  stats.cache_hits = cells_.cache_hits.value();
+  stats.cache_misses = cells_.cache_misses.value();
+  stats.cache_evictions = cells_.cache_evictions.value();
+  stats.cache_bytes = static_cast<std::size_t>(cells_.cache_bytes.value());
+  stats.fused_steps = cells_.fused_steps.value();
+  stats.fallback_steps = cells_.fallback_steps.value();
+  return stats;
+}
+
+void InferenceEngine::reset_stats() {
+  step_latency_.reset();
+  lag_.reset();
+  fused_width_.reset();
+  if (config_.telemetry != nullptr) {
+    config_.telemetry->retire(cells_, /*detach=*/false);
+  } else {
+    cells_.reset();
   }
 }
 
@@ -54,20 +91,13 @@ void InferenceEngine::apply_overload(double now_us) {
     }
     if (config_.overload == OverloadPolicy::kShed) {
       const std::size_t shed = session->shed_overdue(now_us);
-      stats_.shed_frames += shed;
-      if (config_.telemetry != nullptr) {
-        config_.telemetry->engine().shed_frames->add(shed);
-      }
+      cells_.shed_frames.add(shed);
       RT_LOG(Debug, "engine") << "stream=" << session->id() << " shed "
                               << shed << " overdue frames";
     } else {
       const std::size_t shed = session->reject();
-      stats_.shed_frames += shed;
-      stats_.rejected_streams += 1;
-      if (config_.telemetry != nullptr) {
-        config_.telemetry->engine().shed_frames->add(shed);
-        config_.telemetry->engine().rejected_streams->add(1);
-      }
+      cells_.shed_frames.add(shed);
+      cells_.rejected_streams.add(1);
       RT_LOG(Info, "engine") << "stream=" << session->id()
                              << " rejected past deadline budget, dropped "
                              << shed << " frames";
@@ -126,18 +156,17 @@ void InferenceEngine::account_lag(double now_us) {
   }
   obs::Telemetry* telemetry = config_.telemetry;
   if (any_ready) {
-    stats_.lag.record(max_wait_us);
+    lag_.record(max_wait_us);
     if (telemetry != nullptr) {
-      telemetry->engine().lag_us->observe(max_wait_us);
+      telemetry->histograms().lag_us->observe(max_wait_us);
     }
   }
   for (StreamingSession* session : active_) {
     if (session->deadline().enabled() &&
         session->frame_wait_us(now_us) > session->deadline().budget_us()) {
-      stats_.deadline_misses += 1;
+      cells_.deadline_misses.add(1);
       session->note_deadline_miss();
       if (telemetry != nullptr) {
-        telemetry->engine().deadline_misses->add(1);
         // A blown budget is the trigger for slow-stream exemplar
         // capture: freeze this stream's span trace before the rings
         // overwrite it.
@@ -149,9 +178,8 @@ void InferenceEngine::account_lag(double now_us) {
 }
 
 std::size_t InferenceEngine::serve_cached(double& audio_seconds) {
-  obs::Telemetry* telemetry = config_.telemetry;
   obs::TraceCollector* trace =
-      telemetry != nullptr ? &telemetry->trace() : nullptr;
+      config_.telemetry != nullptr ? &config_.telemetry->trace() : nullptr;
   std::size_t served = 0;
   for (const auto& session : sessions_) {
     while (session->frame_ready()) {
@@ -176,10 +204,9 @@ std::size_t InferenceEngine::serve_cached(double& audio_seconds) {
       session->prefix_cursor() = next;
       audio_seconds += session->seconds_per_frame();
       ++served;
-      stats_.cache_hits += 1;
-      if (telemetry != nullptr) telemetry->cache().hits->add(1);
     }
   }
+  cells_.cache_hits.add(served);
   return served;
 }
 
@@ -264,18 +291,14 @@ std::size_t InferenceEngine::step() {
       const StepResult result =
           model_.step_batch(batch_features_, states_, batch_logits_);
       if (result.fused) {
-        stats_.fused_steps += 1;
-        stats_.fused_width.record(static_cast<double>(result.width));
+        cells_.fused_steps.add(1);
+        fused_width_.record(static_cast<double>(result.width));
         if (telemetry != nullptr) {
-          telemetry->engine().fused_steps->add(1);
-          telemetry->engine().fused_batch_width->observe(
+          telemetry->histograms().fused_batch_width->observe(
               static_cast<double>(result.width));
         }
       } else {
-        stats_.fallback_steps += 1;
-        if (telemetry != nullptr) {
-          telemetry->engine().fallback_steps->add(1);
-        }
+        cells_.fallback_steps.add(1);
       }
     }
 
@@ -290,8 +313,6 @@ std::size_t InferenceEngine::step() {
       active_[b]->pop_frame();
       audio_seconds += active_[b]->seconds_per_frame();
       if (cache_ != nullptr) {
-        stats_.cache_misses += 1;
-        if (telemetry != nullptr) telemetry->cache().misses->add(1);
         // Memoize this step so an identical prefix replays it: the row
         // plus the post-step hidden state the next frame resumes from.
         // Only a prefix computed before is admitted, so audio that never
@@ -301,39 +322,26 @@ std::size_t InferenceEngine::step() {
           const cache::PrefixCache::InsertResult inserted = cache_->insert(
               active_[b]->prefix_cursor(), batch_logits_.row(b),
               cache_state_scratch_);
-          stats_.cache_evictions += inserted.evicted;
-          if (telemetry != nullptr) {
-            telemetry->cache().evictions->add(inserted.evicted);
-            telemetry->cache().inserted_bytes->add(inserted.bytes_added);
-          }
+          cells_.cache_evictions.add(inserted.evicted);
+          cells_.cache_inserted_bytes.add(inserted.bytes_added);
         }
       }
     }
   }
 
   if (cache_ != nullptr) {
-    stats_.cache_bytes = cache_->bytes();
-    if (telemetry != nullptr) {
-      telemetry->cache().resident_bytes->set(
-          static_cast<double>(cache_->bytes()));
-    }
+    cells_.cache_misses.add(batch);
+    cells_.cache_bytes.set(static_cast<double>(cache_->bytes()));
   }
 
   const double elapsed_us = timer.elapsed_us();
-  stats_.step_latency.record(elapsed_us);
-  stats_.busy_us += elapsed_us;
-  stats_.frames_processed += batch + cached;
-  stats_.steps += 1;
-  stats_.audio_seconds += audio_seconds;
+  step_latency_.record(elapsed_us);
+  cells_.busy_us.add(elapsed_us);
+  cells_.frames.add(batch + cached);
+  cells_.steps.add(1);
+  cells_.audio_seconds.add(audio_seconds);
   if (telemetry != nullptr) {
-    // Mirrors of the stats_ updates just above, one for one, so a
-    // /metrics scrape equals the StatsAggregator totals exactly.
-    obs::EngineMetrics& m = telemetry->engine();
-    m.step_latency_us->observe(elapsed_us);
-    m.busy_us->add(elapsed_us);
-    m.frames->add(batch + cached);
-    m.steps->add(1);
-    m.audio_seconds->add(audio_seconds);
+    telemetry->histograms().step_latency_us->observe(elapsed_us);
   }
   return batch + cached;
 }

@@ -7,9 +7,8 @@
 // CompiledSpeechModel::step_batch call — which partitions the rows across
 // the model's thread pool, so cross-stream work saturates cores even when
 // each stream's matvecs are too small to thread individually. Logit rows
-// are scattered back to their sessions, and a RuntimeStats collector
-// tracks p50/p95 step latency, aggregate frames/sec, and the real-time
-// factor.
+// are scattered back to their sessions. Each serving event is counted
+// once, in obs::EngineCells that both stats() and /metrics read.
 //
 // Which sessions a round serves is governed by a SchedulerPolicy:
 // round-robin (the bit-identical historical default) scans from a
@@ -32,15 +31,12 @@
 
 #include "cache/prefix_cache.hpp"
 #include "compiler/gru_executor.hpp"
+#include "obs/telemetry.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/streaming_session.hpp"
 #include "speech/streaming_mfcc.hpp"
-
-namespace rtmobile::obs {
-class Telemetry;
-}
 
 namespace rtmobile::fault {
 class FaultInjector;
@@ -60,16 +56,9 @@ struct EngineConfig {
   /// Time source for arrival stamps and lag (must outlive the engine);
   /// null = the shared-epoch monotonic wall clock.
   EngineClock* clock = nullptr;
-  /// Retained-sample cap for the stats recorders (0 = keep every sample;
-  /// see LatencyRecorder::set_cap). The default bounds a long-lived
-  /// engine's recorders; below it every quantile is exact.
-  std::size_t stats_sample_cap = 65536;
-  /// Observability sink (metrics counters + span traces); null keeps the
-  /// engine observability-free (the historical default — cost is one
-  /// branch). Shared across engines: counters are incremented in the
-  /// same statements as the RuntimeStats fields they mirror, so shards
-  /// pointed at one Telemetry sum into families whose totals equal the
-  /// StatsAggregator's. Must outlive the engine.
+  /// Observability sink (histograms, span traces, and the /metrics
+  /// families summing every attached engine's counter cells); null (the
+  /// default) costs one branch. Must outlive the engine.
   obs::Telemetry* telemetry = nullptr;
   /// Fault-injection harness (nullable — the production default). When
   /// set, step() asks the kEngineStep site before touching any state, so
@@ -102,6 +91,11 @@ class InferenceEngine {
   /// step_batch parallelizes over.
   explicit InferenceEngine(const CompiledSpeechModel& model,
                            EngineConfig config = EngineConfig{});
+  /// Retires the counter cells into the Telemetry's totals.
+  ~InferenceEngine();
+
+  InferenceEngine(const InferenceEngine&) = delete;  // cells_ attached
+  InferenceEngine& operator=(const InferenceEngine&) = delete;
 
   /// Admits a new stream (no in-loop decoding). Every session runs the
   /// front end of EngineConfig::mfcc on the engine's one extractor.
@@ -127,7 +121,7 @@ class InferenceEngine {
   /// round-robin default; cache-hit bursts and shed/finished streams
   /// simply never enter active_, shrinking the fused panel for that
   /// round. Whether a round fused or fell back (and the fused width) is
-  /// recorded in stats() and mirrored to rt_fused_* telemetry.
+  /// counted once, for stats() and the rt_fused_* families alike.
   std::size_t step();
 
   /// Pumps step() until no session has a ready frame; returns total
@@ -165,8 +159,12 @@ class InferenceEngine {
   /// whose worst stream is least behind. 0 when nothing is queued.
   [[nodiscard]] double max_lag_seconds();
 
-  [[nodiscard]] const RuntimeStats& stats() const { return stats_; }
-  void reset_stats() { stats_.reset(); }
+  /// The counter cells and recorders, read on the thread driving step()
+  /// (or with it stopped).
+  [[nodiscard]] RuntimeStats stats() const;
+  /// Zeroes counters and recorders (not cache residency, a level); the
+  /// Telemetry keeps the counts as retired totals.
+  void reset_stats();
 
   [[nodiscard]] const EngineConfig& config() const { return config_; }
   /// The one MFCC extractor every session of this engine runs.
@@ -217,7 +215,10 @@ class InferenceEngine {
   std::vector<std::unique_ptr<StreamingSession>> sessions_;
   std::size_t next_id_ = 0;
   std::size_t round_robin_ = 0;  // fairness cursor over sessions_
-  RuntimeStats stats_;
+  obs::EngineCells cells_;
+  LatencyRecorder step_latency_{kStatsSampleCap};
+  LatencyRecorder lag_{kStatsSampleCap};
+  LatencyRecorder fused_width_{kStatsSampleCap};
   // Reused batch buffers, grown only when a step's batch exceeds them.
   Matrix batch_features_;
   Matrix batch_logits_;

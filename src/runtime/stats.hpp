@@ -2,12 +2,12 @@
 //
 // LatencyRecorder defaults to keeping every sample so quantiles are
 // exact. A long-lived engine records one sample per step for its whole
-// life, so InferenceEngine caps its recorders (EngineConfig::
-// stats_sample_cap, 65536 by default). A positive cap switches the
-// recorder to deterministic systematic decimation: once the retained
-// set reaches the cap, every other retained sample is dropped and the
-// sampling stride doubles, so the recorder holds a uniform 1-in-stride
-// subsample of the whole stream in bounded memory. Below the cap (and
+// life, so InferenceEngine caps its recorders at kStatsSampleCap. A
+// positive cap switches the recorder to deterministic systematic
+// decimation: once the retained set reaches the cap, every other
+// retained sample is dropped and the sampling stride doubles, so the
+// recorder holds a uniform 1-in-stride subsample of the whole stream in
+// bounded memory. Below the cap (and
 // always with cap 0) behavior is bit-identical to the exact recorder,
 // including merges.
 //
@@ -15,13 +15,17 @@
 // latency, frames/sec, the real-time factor (audio seconds processed per
 // wall second — > 1 means faster than real time), and the deadline
 // scheduler's overload view: per-step worst stream lag (p99-able),
-// deadline-miss / shed-frame counters, and rejected streams.
+// deadline-miss / shed-frame counters, and rejected streams. An engine's
+// stats() reads its /metrics counter cells and its exact recorders.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace rtmobile::runtime {
+
+/// The retained-sample cap of every InferenceEngine recorder.
+inline constexpr std::size_t kStatsSampleCap = 65536;
 
 class LatencyRecorder {
  public:
@@ -99,7 +103,8 @@ struct RuntimeStats {
   /// Entries evicted by the cache's byte budget.
   std::size_t cache_evictions = 0;
   /// Resident cache footprint in bytes (a level, republished after every
-  /// round that touched the cache; merging sums shard residency).
+  /// round that touched the cache, kept by InferenceEngine::reset_stats;
+  /// merging sums shard residency).
   std::size_t cache_bytes = 0;
   /// Scheduling rounds whose compute batch ran the fused batched-matmat
   /// spine, and rounds that fell back to the per-stream matvec path.
@@ -112,13 +117,6 @@ struct RuntimeStats {
   /// advanced by that fused step) — the batch-occupancy signal that
   /// says how much weight traffic the fusion is actually amortizing.
   LatencyRecorder fused_width;
-
-  /// Applies a retained-sample cap to every recorder (0 = unbounded).
-  void set_sample_cap(std::size_t cap) {
-    step_latency.set_cap(cap);
-    lag.set_cap(cap);
-    fused_width.set_cap(cap);
-  }
 
   [[nodiscard]] double frames_per_second() const {
     return busy_us > 0.0
@@ -171,25 +169,6 @@ struct RuntimeStats {
                ? static_cast<double>(cache_hits) /
                      static_cast<double>(looked)
                : 0.0;
-  }
-
-  void reset() {
-    step_latency.reset();
-    lag.reset();
-    frames_processed = 0;
-    steps = 0;
-    busy_us = 0.0;
-    audio_seconds = 0.0;
-    deadline_misses = 0;
-    shed_frames = 0;
-    rejected_streams = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_evictions = 0;
-    cache_bytes = 0;
-    fused_steps = 0;
-    fallback_steps = 0;
-    fused_width.reset();
   }
 };
 

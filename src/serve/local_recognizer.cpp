@@ -134,10 +134,9 @@ std::size_t LocalRecognizer::step() {
 }
 
 GlobalStats LocalRecognizer::stats() const {
-  StatsAggregator aggregator;
-  aggregator.add_shard(engine_.stats());
-  aggregator.set_wall_us(window_.elapsed_us());
-  GlobalStats global = aggregator.global();
+  GlobalStats global;
+  global.add_shard(engine_.stats());
+  global.wall_us = window_.elapsed_us();
   global.weight_bytes = engine_.model().total_memory_bytes();
   return global;
 }

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "runtime/scheduler.hpp"
-#include "serve/stats_aggregator.hpp"
+#include "runtime/stats.hpp"
 #include "speech/streaming_decoder.hpp"
 #include "tensor/matrix.hpp"
 
@@ -89,6 +89,42 @@ struct StreamDeadlineStats {
   std::size_t shed_frames = 0;      // frames dropped by shed/reject
   std::size_t deadline_misses = 0;  // frames served past the budget
   bool rejected = false;            // terminated by OverloadPolicy::kReject
+};
+
+/// Fleet serving statistics: every shard's RuntimeStats merged exactly
+/// (any disjoint split of a workload merges back to the whole). Shards
+/// run concurrently, so throughput is reported two ways: capacity
+/// (`aggregate_fps`) and over a measured wall window (`wall_fps`).
+struct GlobalStats {
+  runtime::RuntimeStats merged;  // counters summed, samples concatenated
+  std::size_t shards = 0;
+  double aggregate_fps = 0.0;  // sum over shards of frames / busy seconds
+  double wall_us = 0.0;        // serving window; 0 when not measured
+  /// Compiled weight storage (values + indices + quantization scales)
+  /// each replica carries — the per-shard memory cost of another
+  /// replica, which CompilerOptions::precision shrinks 2-4x. Summed over
+  /// shards by the engine when it fills this view.
+  std::size_t weight_bytes = 0;
+
+  /// Folds one shard's stats into the fleet view.
+  void add_shard(const runtime::RuntimeStats& stats) {
+    merged.merge_from(stats);
+    shards += 1;
+    aggregate_fps += stats.frames_per_second();
+  }
+
+  /// Frames per wall-clock second over the measured window (0 when no
+  /// window was recorded).
+  [[nodiscard]] double wall_fps() const {
+    return wall_us > 0.0
+               ? static_cast<double>(merged.frames_processed) /
+                     (wall_us * 1e-6)
+               : 0.0;
+  }
+  /// Audio seconds served per wall second over the measured window.
+  [[nodiscard]] double wall_real_time_factor() const {
+    return wall_us > 0.0 ? merged.audio_seconds / (wall_us * 1e-6) : 0.0;
+  }
 };
 
 /// A hypothesis update tagged with the stream it belongs to (the

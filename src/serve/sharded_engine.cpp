@@ -1256,8 +1256,7 @@ double ShardedEngine::shard_lag_seconds(std::size_t s) const {
   return shards_[s]->max_lag_us.load(std::memory_order_acquire) * 1e-6;
 }
 
-const runtime::RuntimeStats& ShardedEngine::shard_stats(
-    std::size_t s) const {
+runtime::RuntimeStats ShardedEngine::shard_stats(std::size_t s) const {
   RT_REQUIRE(!running(), "shard_stats: stop the engine first");
   RT_REQUIRE(s < shards_.size(), "shard index out of range");
   return shards_[s]->engine->stats();
@@ -1277,13 +1276,10 @@ std::size_t ShardedEngine::shard_session_count(std::size_t s) const {
 
 GlobalStats ShardedEngine::stats() const {
   RT_REQUIRE(!running(), "stats: stop the engine first");
-  StatsAggregator aggregator;
+  GlobalStats global;
+  global.wall_us = window_us_;
   for (const auto& shard : shards_) {
-    aggregator.add_shard(shard->engine->stats());
-  }
-  aggregator.set_wall_us(window_us_);
-  GlobalStats global = aggregator.global();
-  for (const auto& shard : shards_) {
+    global.add_shard(shard->engine->stats());
     global.weight_bytes += shard->model->total_memory_bytes();
   }
   return global;

@@ -8,8 +8,8 @@
 // audio chunks through the queue without ever taking an engine step
 // lock; one pump thread per shard applies queued commands and steps its
 // engine. A ShardRouter admits each new stream to a shard (round-robin,
-// least-loaded by queue depth, or session-hash affinity), and a
-// StatsAggregator folds per-shard RuntimeStats into the fleet view.
+// least-loaded by queue depth, or session-hash affinity), and stats()
+// folds per-shard RuntimeStats into the GlobalStats fleet view.
 //
 // Two execution modes:
 //  - threaded: start() launches one pump thread per shard; stop() is a
@@ -43,12 +43,7 @@
 #include "runtime/inference_engine.hpp"
 #include "serve/recognizer.hpp"
 #include "serve/shard_router.hpp"
-#include "serve/stats_aggregator.hpp"
 #include "serve/submission_queue.hpp"
-
-namespace rtmobile::obs {
-class Gauge;
-}
 
 namespace rtmobile::fault {
 class FaultInjector;
@@ -246,7 +241,7 @@ class ShardedEngine final : public Recognizer {
   /// the least-lag routing policy minimizes.
   [[nodiscard]] double shard_lag_seconds(std::size_t s) const;
   /// Per-shard engine stats (requires no pump running).
-  [[nodiscard]] const runtime::RuntimeStats& shard_stats(std::size_t s) const;
+  [[nodiscard]] runtime::RuntimeStats shard_stats(std::size_t s) const;
   /// Shard `s`'s engine-owned prefix result cache — each replica caches
   /// shard-locally, so residency/eviction totals are per shard (null
   /// when ShardConfig::engine.cache is off; requires no pump running).

@@ -32,7 +32,7 @@ class StreamingMfcc {
 
   /// A stream over its own extractor. `config.cepstral_mean_norm` must
   /// be false.
-  explicit StreamingMfcc(const MfccConfig& config = MfccConfig{});
+  explicit StreamingMfcc(const MfccConfig& config);
   /// A stream over a shared extractor (non-null, CMN disabled).
   explicit StreamingMfcc(std::shared_ptr<const MfccExtractor> extractor);
 

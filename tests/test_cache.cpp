@@ -120,7 +120,6 @@ TEST(PrefixCursor, IdenticalChainsAgreeDifferentChainsDiverge) {
   y.advance(frame_a);
   EXPECT_EQ(x.sig_lo, y.sig_lo);
   EXPECT_EQ(x.sig_hi, y.sig_hi);
-  EXPECT_EQ(x.depth, 1U);
 
   PrefixCursor z = PrefixCursor::from_state(state);
   z.advance(frame_b);
@@ -528,11 +527,7 @@ TEST(RuntimeStats, CacheCountersMergeAcrossShards) {
   EXPECT_EQ(merged.cache_evictions, 3U);
   EXPECT_EQ(merged.cache_bytes, 1500U);  // residency sums across shards
   EXPECT_NEAR(merged.cache_hit_rate(), 0.3, 1e-12);
-
-  merged.reset();
-  EXPECT_EQ(merged.cache_hits, 0U);
-  EXPECT_EQ(merged.cache_bytes, 0U);
-  EXPECT_EQ(merged.cache_hit_rate(), 0.0);
+  EXPECT_EQ(runtime::RuntimeStats{}.cache_hit_rate(), 0.0);  // no lookups
 }
 
 // ---------------------------------------------------- shard migration

@@ -1,9 +1,11 @@
 // Tests for the observability layer: the metrics registry (typed
 // instruments, concurrency, Prometheus/JSON exposition), per-stage span
 // tracing (ring overflow, exact aggregates, slow-stream exemplars), the
-// pluggable log sink, and the end-to-end guarantee the whole design
-// exists for — a live /metrics scrape over TCP whose engine counters
-// exactly equal the StatsAggregator totals for the same workload.
+// pluggable log sink, the attached-cell families (retire/detach never
+// move a family backwards), and the end-to-end guarantee the whole
+// design exists for — a live /metrics scrape over TCP whose engine
+// counters exactly equal the engines' merged stats for the same
+// workload, while serving, across reset_stats(), and across shards.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -399,6 +402,77 @@ double gauge_value(const std::string& body, const std::string& name) {
   return -1.0;
 }
 
+std::string scrape(const RecognizerServer& server) {
+  return http_body(http_request(server.metrics_port(),
+                                "GET /metrics HTTP/1.0\r\nHost: test"));
+}
+
+/// The running-total engine families: every one must be non-decreasing
+/// from scrape to scrape, through serving, reset_stats() and restarts.
+const std::vector<std::string>& engine_counter_families() {
+  static const std::vector<std::string> names = {
+      "rt_engine_frames_total",          "rt_engine_steps_total",
+      "rt_engine_deadline_misses_total", "rt_engine_shed_frames_total",
+      "rt_engine_rejected_streams_total", "rt_fused_steps_total",
+      "rt_fallback_steps_total",         "rt_cache_hits_total",
+      "rt_cache_misses_total",           "rt_cache_evictions_total",
+      "rt_cache_bytes_total"};
+  return names;
+}
+
+/// The scrape's engine families equal `stats` (the engines' merged
+/// stats, read with their pumps stopped), every one exactly. The gauges
+/// are exact too: a family sums the engines' cells in attach order, as
+/// merging sums the shards in index order.
+void expect_scrape_equals(const std::string& body,
+                          const runtime::RuntimeStats& stats) {
+  EXPECT_EQ(counter_value(body, "rt_engine_frames_total"),
+            stats.frames_processed);
+  EXPECT_EQ(counter_value(body, "rt_engine_steps_total"), stats.steps);
+  EXPECT_EQ(counter_value(body, "rt_engine_deadline_misses_total"),
+            stats.deadline_misses);
+  EXPECT_EQ(counter_value(body, "rt_engine_shed_frames_total"),
+            stats.shed_frames);
+  EXPECT_EQ(counter_value(body, "rt_engine_rejected_streams_total"),
+            stats.rejected_streams);
+  EXPECT_EQ(gauge_value(body, "rt_engine_busy_us"), stats.busy_us);
+  EXPECT_EQ(gauge_value(body, "rt_engine_audio_seconds"),
+            stats.audio_seconds);
+  EXPECT_EQ(counter_value(body, "rt_fused_steps_total"), stats.fused_steps);
+  EXPECT_EQ(counter_value(body, "rt_fallback_steps_total"),
+            stats.fallback_steps);
+  EXPECT_EQ(counter_value(body, "rt_cache_hits_total"), stats.cache_hits);
+  EXPECT_EQ(counter_value(body, "rt_cache_misses_total"),
+            stats.cache_misses);
+  EXPECT_EQ(counter_value(body, "rt_cache_evictions_total"),
+            stats.cache_evictions);
+  EXPECT_EQ(gauge_value(body, "rt_cache_resident_bytes"),
+            static_cast<double>(stats.cache_bytes));
+}
+
+/// Streams `wave` through `clients` fresh wire connections at once and
+/// waits for every final.
+void serve_concurrently(const RecognizerServer& server,
+                        const std::vector<float>& wave,
+                        std::size_t clients) {
+  const net::OpenRequest request =
+      net::OpenRequest::from_stream_config(serve::StreamConfig{});
+  std::vector<net::WireClient> wire(clients);
+  for (auto& client : wire) {
+    client.connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.open(request).has_value());
+  }
+  for (auto& client : wire) {
+    client.send_audio(wave);
+    client.send_finish();
+  }
+  for (auto& client : wire) {
+    std::vector<speech::StreamEvent> events;
+    ASSERT_EQ(client.collect_until_final(events), std::nullopt);
+    client.send_close();
+  }
+}
+
 TEST(ObsE2E, LiveScrapeMatchesStatsAggregatorExactly) {
   const ServeFixture f = make_fixture(16, 700);
   Telemetry telemetry;
@@ -449,31 +523,14 @@ TEST(ObsE2E, LiveScrapeMatchesStatsAggregatorExactly) {
   EXPECT_NE(response.find("text/plain; version=0.0.4"), std::string::npos);
   const std::string body = http_body(response);
 
-  // The tentpole guarantee: scrape == StatsAggregator, exactly. The
-  // telemetry counters are bumped in the same statements as the
-  // RuntimeStats fields, and shards share one counter cell, so no
-  // tolerance is needed on the integer counters.
-  EXPECT_EQ(counter_value(body, "rt_engine_frames_total"),
-            stats.merged.frames_processed);
-  EXPECT_EQ(counter_value(body, "rt_engine_steps_total"),
-            stats.merged.steps);
-  EXPECT_EQ(counter_value(body, "rt_engine_deadline_misses_total"),
-            stats.merged.deadline_misses);
-  EXPECT_EQ(counter_value(body, "rt_engine_shed_frames_total"),
-            stats.merged.shed_frames);
-  EXPECT_EQ(counter_value(body, "rt_engine_rejected_streams_total"),
-            stats.merged.rejected_streams);
-  // Gauges accumulate float adds in shard-interleaved order; allow ulp-
-  // scale drift against the merge's shard-ordered sums.
-  EXPECT_NEAR(gauge_value(body, "rt_engine_busy_us"), stats.merged.busy_us,
-              1e-6 * (1.0 + stats.merged.busy_us));
-  EXPECT_NEAR(gauge_value(body, "rt_engine_audio_seconds"),
-              stats.merged.audio_seconds,
-              1e-9 * (1.0 + stats.merged.audio_seconds));
+  // The tentpole guarantee: scrape == merged stats, exactly. Both read
+  // the same per-engine counter cells, so no tolerance is needed, not
+  // even on the floating-point gauges.
+  expect_scrape_equals(body, stats.merged);
   // Step-latency histogram count tracks engine rounds one-for-one.
   EXPECT_EQ(counter_value(body, "rt_engine_step_latency_us_count"),
             stats.merged.steps);
-  // Fused-step accounting mirrors RuntimeStats exactly: every round that
+  // Fused-step accounting is RuntimeStats' own: every round that
   // dispatched compute is either fused or a per-stream fallback (with
   // the cache off here, that is every round), and the fused-width
   // histogram holds one observation per fused round.
@@ -532,8 +589,7 @@ TEST(ObsE2E, CacheCountersOnLiveScrapeMatchMergedStats) {
   // workload: the same utterance served three times over the wire. The
   // first two passes compute (the second fills the cache) and the replay
   // must show up as rt_cache_hits_total on a live scrape, equal to the
-  // StatsAggregator's merged counters — same contract as the engine
-  // counters above.
+  // merged stats — same contract as the engine counters above.
   const ServeFixture f = make_fixture(16, 701);
   Telemetry telemetry;
 
@@ -586,6 +642,141 @@ TEST(ObsE2E, CacheCountersOnLiveScrapeMatchMergedStats) {
   EXPECT_GT(counter_value(body, "rt_cache_bytes_total"), 0U);
   EXPECT_EQ(gauge_value(body, "rt_cache_resident_bytes"),
             static_cast<double>(stats.merged.cache_bytes));
+
+  server.stop();
+}
+
+TEST(ObsE2E, TwoCacheShardsScrapeSumsResidencyAndCounters) {
+  // Two cache-enabled shards, each holding entries of its own: the
+  // residency family must be the fleet's (the sum over shards), not the
+  // last shard to publish, and every engine family must equal the
+  // merged stats.
+  const ServeFixture f = make_fixture(16, 702);
+  Telemetry telemetry;
+
+  serve::ShardConfig shard_config;
+  shard_config.shards = 2;
+  shard_config.policy = serve::RoutePolicy::kRoundRobin;
+  shard_config.engine.telemetry = &telemetry;
+  shard_config.engine.cache.enabled = true;
+  serve::ShardedEngine engine(*f.model, f.masks, f.options, shard_config);
+  engine.start();
+
+  net::ServerConfig config;
+  config.drive_recognizer = false;
+  config.telemetry = &telemetry;
+  RecognizerServer server(engine, config);
+  ASSERT_NE(server.metrics_port(), 0);
+  server.start();
+
+  // Six sequential passes, dealt round-robin: each shard computes the
+  // utterance twice (its cache admits it on the second computation),
+  // then replays it once from cache.
+  const std::vector<float> wave = random_waveform(4800, 74);
+  for (int pass = 0; pass < 6; ++pass) serve_concurrently(server, wave, 1);
+
+  engine.stop();
+  const serve::GlobalStats stats = engine.stats();
+  ASSERT_GT(engine.shard_stats(0).cache_bytes, 0U);
+  ASSERT_GT(engine.shard_stats(1).cache_bytes, 0U);
+  ASSERT_GT(stats.merged.cache_hits, 0U);
+  expect_scrape_equals(scrape(server), stats.merged);
+
+  server.stop();
+}
+
+TEST(ObsE2E, ScrapeNeverGoesBackwardsWhileServingOrAcrossReset) {
+  // A scraper thread polls /metrics while both pumps serve (the cross-
+  // thread cell reads ThreadSanitizer checks); no engine family may
+  // ever drop. reset_stats() then zeroes stats() but not the scrape,
+  // and a second serving window adds on top of the retired totals.
+  const ServeFixture f = make_fixture(16, 703);
+  Telemetry telemetry;
+
+  serve::ShardConfig shard_config;
+  shard_config.shards = 2;
+  shard_config.policy = serve::RoutePolicy::kRoundRobin;
+  shard_config.engine.telemetry = &telemetry;
+  shard_config.engine.cache.enabled = true;
+  serve::ShardedEngine engine(*f.model, f.masks, f.options, shard_config);
+  engine.start();
+
+  net::ServerConfig config;
+  config.drive_recognizer = false;
+  config.telemetry = &telemetry;
+  RecognizerServer server(engine, config);
+  ASSERT_NE(server.metrics_port(), 0);
+  server.start();
+
+  std::atomic<bool> serving{true};
+  std::vector<std::string> dropped;  // scraper-thread only until join
+  std::size_t scrapes = 0;
+  std::thread scraper([&] {
+    std::map<std::string, double> last;
+    do {
+      const std::string body = scrape(server);
+      ++scrapes;
+      for (const std::string& name : engine_counter_families()) {
+        const double value = static_cast<double>(counter_value(body, name));
+        if (value < last[name]) dropped.push_back(name);
+        last[name] = value;
+      }
+      for (const char* name :
+           {"rt_engine_busy_us", "rt_engine_audio_seconds"}) {
+        const double value = gauge_value(body, name);
+        if (value < last[name]) dropped.push_back(name);
+        last[name] = value;
+      }
+    } while (serving.load(std::memory_order_acquire));
+  });
+  const std::vector<float> wave = random_waveform(6400, 75);
+  serve_concurrently(server, wave, 4);
+  serve_concurrently(server, wave, 4);
+  serving.store(false, std::memory_order_release);
+  scraper.join();
+  EXPECT_TRUE(dropped.empty()) << dropped.size() << " drops, first "
+                               << dropped.front();
+
+  engine.stop();
+  const runtime::RuntimeStats first = engine.stats().merged;
+  ASSERT_GT(first.cache_hits, 0U);
+  const std::string before = scrape(server);
+  expect_scrape_equals(before, first);
+
+  engine.reset_stats();
+  const runtime::RuntimeStats zeroed = engine.stats().merged;
+  EXPECT_EQ(zeroed.frames_processed, 0U);
+  EXPECT_EQ(zeroed.steps, 0U);
+  EXPECT_EQ(zeroed.cache_hits, 0U);
+  EXPECT_EQ(zeroed.cache_misses, 0U);
+  EXPECT_EQ(zeroed.fused_steps + zeroed.fallback_steps, 0U);
+  EXPECT_EQ(zeroed.busy_us, 0.0);
+  EXPECT_EQ(zeroed.step_latency.count(), 0U);
+  // Residency is a level, not a count since the reset: it stays.
+  EXPECT_EQ(zeroed.cache_bytes, first.cache_bytes);
+  const std::string after = scrape(server);
+  for (const std::string& name : engine_counter_families()) {
+    EXPECT_EQ(counter_value(after, name), counter_value(before, name))
+        << name;
+  }
+
+  // A second window counts on top of what the reset retired.
+  engine.start();
+  serve_concurrently(server, wave, 2);
+  engine.stop();
+  const runtime::RuntimeStats second = engine.stats().merged;
+  ASSERT_GT(second.frames_processed, 0U);
+  const std::string last = scrape(server);
+  EXPECT_EQ(counter_value(last, "rt_engine_frames_total"),
+            first.frames_processed + second.frames_processed);
+  EXPECT_EQ(counter_value(last, "rt_engine_steps_total"),
+            first.steps + second.steps);
+  EXPECT_EQ(counter_value(last, "rt_cache_hits_total"),
+            first.cache_hits + second.cache_hits);
+  EXPECT_EQ(counter_value(last, "rt_cache_misses_total"),
+            first.cache_misses + second.cache_misses);
+  EXPECT_EQ(gauge_value(last, "rt_cache_resident_bytes"),
+            static_cast<double>(second.cache_bytes));
 
   server.stop();
 }

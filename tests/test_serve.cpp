@@ -18,9 +18,9 @@
 #include "rnn/model.hpp"
 #include "rnn/param_set.hpp"
 #include "runtime/stats.hpp"
+#include "serve/recognizer.hpp"
 #include "serve/shard_router.hpp"
 #include "serve/sharded_engine.hpp"
-#include "serve/stats_aggregator.hpp"
 #include "serve/submission_queue.hpp"
 #include "speech/mfcc.hpp"
 #include "sparse/block_mask.hpp"
@@ -35,7 +35,6 @@ using serve::RoutePolicy;
 using serve::ShardConfig;
 using serve::ShardedEngine;
 using serve::ShardRouter;
-using serve::StatsAggregator;
 using serve::StreamCommand;
 using serve::StreamHandle;
 using serve::SubmissionQueue;
@@ -227,7 +226,7 @@ TEST(ShardRouter, PolicyNamesRoundTrip) {
 }
 
 // ------------------------------------------------------ stats aggregation
-TEST(StatsAggregator, MergeOfSplitsEqualsWhole) {
+TEST(GlobalStats, MergeOfSplitsEqualsWhole) {
   // Build one "whole workload" stats object and the same workload split
   // across two shards; merging the splits must reproduce the whole.
   RuntimeStats whole;
@@ -246,9 +245,11 @@ TEST(StatsAggregator, MergeOfSplitsEqualsWhole) {
     }
   }
 
-  RuntimeStats merged;
-  merged.merge_from(half_a);
-  merged.merge_from(half_b);
+  serve::GlobalStats global;
+  global.add_shard(half_a);
+  global.add_shard(half_b);
+  const RuntimeStats& merged = global.merged;
+  EXPECT_EQ(global.shards, 2U);
   EXPECT_EQ(merged.frames_processed, whole.frames_processed);
   EXPECT_EQ(merged.steps, whole.steps);
   EXPECT_EQ(merged.step_latency.count(), whole.step_latency.count());
@@ -271,7 +272,7 @@ TEST(StatsAggregator, MergeOfSplitsEqualsWhole) {
               rel * whole.real_time_factor());
 }
 
-TEST(StatsAggregator, AggregateFpsSumsShardCapacity) {
+TEST(GlobalStats, AggregateFpsSumsShardCapacity) {
   RuntimeStats a;
   a.frames_processed = 100;
   a.busy_us = 1e6;  // 100 fps
@@ -279,11 +280,10 @@ TEST(StatsAggregator, AggregateFpsSumsShardCapacity) {
   b.frames_processed = 300;
   b.busy_us = 1e6;  // 300 fps
 
-  StatsAggregator aggregator;
-  aggregator.add_shard(a);
-  aggregator.add_shard(b);
-  aggregator.set_wall_us(2e6);
-  const serve::GlobalStats& global = aggregator.global();
+  serve::GlobalStats global;
+  global.add_shard(a);
+  global.add_shard(b);
+  global.wall_us = 2e6;
   EXPECT_EQ(global.shards, 2U);
   EXPECT_DOUBLE_EQ(global.aggregate_fps, 400.0);  // capacity: sum of shards
   EXPECT_EQ(global.merged.frames_processed, 400U);
