@@ -75,7 +75,7 @@ std::unique_ptr<CompiledSpeechModel> compile(const BenchSetup& setup,
   options.activation = precision.activations;
   if (pool != nullptr) options.threads = pool->thread_count();
   return std::make_unique<CompiledSpeechModel>(*setup.model, setup.masks,
-                                               options, pool);
+                                               options);
 }
 
 struct CellResult {
@@ -87,9 +87,9 @@ struct CellResult {
 /// `rounds` timesteps on a shared random frame batch (weight traffic per
 /// round is what the cell measures; the frame content is irrelevant).
 /// `alone` steps each stream in its own width-1 step_batch per round
-/// instead of all of them in one.
-CellResult measure(const CompiledSpeechModel& m, std::size_t width,
-                   std::size_t rounds, bool alone) {
+/// instead of all of them in one, both over `pool` on one set of panels.
+CellResult measure(const CompiledSpeechModel& m, ThreadPool* pool,
+                   std::size_t width, std::size_t rounds, bool alone) {
   Rng rng(99);
   Matrix features(width, m.config().input_dim);
   fill_normal(features.span(), rng, 1.0F);
@@ -98,14 +98,16 @@ CellResult measure(const CompiledSpeechModel& m, std::size_t width,
   std::vector<StreamState*> ptrs;
   for (StreamState& s : states) ptrs.push_back(&s);
   const std::span<StreamState* const> all(ptrs);
+  CompiledSpeechModel::Panels panels;
 
   CellResult result;
   const auto round = [&] {
-    if (!alone) return m.step_batch(features, all, logits).fused;
+    if (!alone) return m.step_batch(features, all, logits, panels, pool).fused;
     bool fused = false;
     for (std::size_t b = 0; b < width; ++b) {
       // Row 0 of the shared batch is every lone stream's frame.
-      fused = m.step_batch(features, all.subspan(b, 1), logits).fused;
+      fused = m.step_batch(features, all.subspan(b, 1), logits, panels, pool)
+                  .fused;
     }
     return fused;
   };
@@ -176,8 +178,9 @@ int main(int argc, char** argv) {
     const auto model = compile(setup, precision, pool.get());
     for (const std::size_t width : widths) {
       const std::size_t rounds = std::max<std::size_t>(12, frames / width);
-      const CellResult base = measure(*model, width, rounds, true);
-      const CellResult fast = measure(*model, width, rounds, false);
+      const CellResult base = measure(*model, pool.get(), width, rounds, true);
+      const CellResult fast =
+          measure(*model, pool.get(), width, rounds, false);
       const double speedup = base.frames_per_sec > 0.0
                                  ? fast.frames_per_sec / base.frames_per_sec
                                  : 0.0;
@@ -212,8 +215,9 @@ int main(int argc, char** argv) {
     for (const double sweep_keep : {0.1, 0.25, 0.5}) {
       const BenchSetup sparse = build_model(config, sweep_keep);
       const auto model = compile(sparse, precisions.back(), pool.get());
-      const CellResult base = measure(*model, width, rounds, true);
-      const CellResult fast = measure(*model, width, rounds, false);
+      const CellResult base = measure(*model, pool.get(), width, rounds, true);
+      const CellResult fast =
+          measure(*model, pool.get(), width, rounds, false);
       const double speedup = base.frames_per_sec > 0.0
                                  ? fast.frames_per_sec / base.frames_per_sec
                                  : 0.0;

@@ -67,8 +67,8 @@ BenchSetup build_model(std::size_t hidden, double keep_fraction) {
   }
   CompilerOptions options;
   options.format = SparseFormat::kBspc;
-  setup.compiled = std::make_unique<CompiledSpeechModel>(
-      *setup.model, masks, options, nullptr);
+  setup.compiled =
+      std::make_unique<CompiledSpeechModel>(*setup.model, masks, options);
   return setup;
 }
 

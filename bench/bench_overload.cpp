@@ -84,8 +84,8 @@ BenchSetup build_model(std::size_t hidden, std::size_t threads,
   options.format = SparseFormat::kBspc;
   options.threads = threads;
   if (threads > 1) setup.pool = std::make_unique<ThreadPool>(threads);
-  setup.compiled = std::make_unique<CompiledSpeechModel>(
-      *setup.model, masks, options, setup.pool.get());
+  setup.compiled =
+      std::make_unique<CompiledSpeechModel>(*setup.model, masks, options);
   return setup;
 }
 
@@ -120,7 +120,9 @@ constexpr PolicyScenario kScenarios[] = {
 /// batching efficiency matches).
 double measure_capacity(const BenchSetup& setup, std::size_t streams,
                         double seconds) {
-  serve::LocalRecognizer recognizer(*setup.compiled);
+  runtime::EngineConfig engine_config;
+  engine_config.pool = setup.pool.get();
+  serve::LocalRecognizer recognizer(*setup.compiled, engine_config);
   serve::StreamConfig config;
   config.decode.mode = speech::DecodeMode::kNone;
   for (std::size_t s = 0; s < streams; ++s) {
@@ -157,6 +159,7 @@ OverloadResult run_overload(const BenchSetup& setup,
   engine_config.scheduler = scenario.scheduler;
   engine_config.overload = scenario.overload;
   engine_config.clock = &clock;
+  engine_config.pool = setup.pool.get();
   serve::LocalRecognizer recognizer(*setup.compiled, engine_config);
 
   serve::StreamConfig stream_config;

@@ -56,11 +56,10 @@ int main(int argc, char** argv) {
                                      : SparseFormat::kDense;
   options.threads = threads;
   options.value_bytes = 2;
-  const CompiledSpeechModel compiled(model, result.block_masks, options,
-                                     &pool);
+  const CompiledSpeechModel compiled(model, result.block_masks, options);
 
   std::printf("profiling per-matrix plans (%zu threads)...\n\n", threads);
-  const auto profiles = compiled.profile(30);
+  const auto profiles = compiled.profile(30, &pool);
   Table table({"plan", "nnz", "matvec us", "share"});
   for (const auto& entry : profiles) {
     table.add_row({entry.name,
@@ -72,7 +71,7 @@ int main(int argc, char** argv) {
 
   constexpr std::size_t kFrames = 30;
   const double frame_us = time_best_of_us(
-      [&] { compiled.run_recurrence(kFrames); }, 2, 3);
+      [&] { compiled.run_recurrence(kFrames, 1, &pool); }, 2, 3);
   std::printf("inference: %.0f us per %zu-timestep frame "
               "(%.1f us/timestep)\n",
               frame_us, kFrames, frame_us / kFrames);

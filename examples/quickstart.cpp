@@ -73,7 +73,8 @@ int main() {
   WallTimer timer;
   std::size_t frames = 0;
   for (const auto& utt : corpus.test) {
-    const Matrix logits = deployment.compiled->infer(utt.features);
+    const Matrix logits =
+        deployment.compiled->infer(utt.features, deployment.pool.get());
     frames += logits.rows();
   }
   const double us_per_frame = timer.elapsed_us() / static_cast<double>(frames);

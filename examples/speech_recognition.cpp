@@ -108,7 +108,8 @@ int main(int argc, char** argv) {
   std::size_t frames = 0;
   speech::EditStats edits;
   for (const auto& utt : corpus.test) {
-    const Matrix logits = deployment.compiled->infer(utt.features);
+    const Matrix logits =
+        deployment.compiled->infer(utt.features, deployment.pool.get());
     frames += logits.rows();
     const auto decoded = speech::greedy_decode(logits);
     edits += speech::align({utt.phones.data(), utt.phones.size()},

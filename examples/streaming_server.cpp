@@ -61,8 +61,8 @@ Server build_server(std::size_t hidden, std::size_t threads) {
   options.format = SparseFormat::kBspc;
   options.threads = threads;
   if (threads > 1) server.pool = std::make_unique<ThreadPool>(threads);
-  server.compiled = std::make_unique<CompiledSpeechModel>(
-      *server.model, masks, options, server.pool.get());
+  server.compiled =
+      std::make_unique<CompiledSpeechModel>(*server.model, masks, options);
   return server;
 }
 
@@ -122,7 +122,9 @@ int main(int argc, char** argv) {
   std::printf("streaming_server: %zu clients, hidden=%zu, threads=%zu\n\n",
               clients, hidden, threads);
   Server server = build_server(hidden, threads);
-  serve::LocalRecognizer recognizer(*server.compiled);
+  runtime::EngineConfig engine_config;
+  engine_config.pool = server.pool.get();
+  serve::LocalRecognizer recognizer(*server.compiled, engine_config);
 
   Rng rng(7);
   std::vector<std::vector<float>> audio;

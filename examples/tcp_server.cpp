@@ -70,8 +70,8 @@ Backend build_backend(const std::string& kind, std::size_t hidden,
     backend.sharded = engine.get();
     backend.recognizer = std::move(engine);
   } else {
-    backend.compiled = std::make_unique<CompiledSpeechModel>(
-        *backend.model, masks, options, nullptr);
+    backend.compiled =
+        std::make_unique<CompiledSpeechModel>(*backend.model, masks, options);
     runtime::EngineConfig engine_config;
     engine_config.telemetry = telemetry;
     backend.recognizer = std::make_unique<serve::LocalRecognizer>(

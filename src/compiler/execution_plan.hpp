@@ -51,11 +51,6 @@ struct CompilerOptions {
   /// pool is available: dispatch latency would dominate the kernel. This
   /// mirrors the auto-tuner's thread-count decision for tiny workloads.
   std::size_t min_nnz_for_threading = 16384;
-  /// Optional placement hint: the core range the pool executing these
-  /// plans should occupy. The compiler records it; whoever constructs the
-  /// pool honors it (the sharded serving layer pins each engine replica's
-  /// pool to a disjoint range so shards don't contend for cores).
-  std::optional<CoreRange> core_range;
   /// Activation storage inside a batched step (width > 1; a width-1
   /// step and infer() keep fp32 activations). kInt8 only takes effect
   /// on int8 weight plans (packed dense / packed BSPC), where the

@@ -43,8 +43,8 @@ void for_each_stream(ThreadPool* pool, std::size_t batch, const Fn& fn) {
 
 CompiledSpeechModel::CompiledSpeechModel(
     const SpeechModel& model, const std::map<std::string, BlockMask>& masks,
-    const CompilerOptions& options, ThreadPool* pool)
-    : config_(model.config()), options_(options), pool_(pool) {
+    const CompilerOptions& options)
+    : config_(model.config()), options_(options) {
   layers_.reserve(config_.num_layers);
   for (std::size_t l = 0; l < config_.num_layers; ++l) {
     const GruParams& params = model.layer(l);
@@ -72,10 +72,6 @@ CompiledSpeechModel::CompiledSpeechModel(
     }
   }
   q8_acts_ = options_.activation == ActivationPrecision::kInt8 && all_int8;
-  // Serving panels sized once here so step_batch never allocates below
-  // kPresizedStreams streams.
-  panels_ = std::make_unique<Panels>();
-  size_panels(*panels_, kPresizedStreams);
 }
 
 void CompiledSpeechModel::size_panels(Panels& panels,
@@ -115,7 +111,7 @@ StreamState CompiledSpeechModel::make_state() const {
 
 StepResult CompiledSpeechModel::step_batch(
     const Matrix& features, std::span<StreamState* const> states,
-    Matrix& logits) const {
+    Matrix& logits, Panels& panels, ThreadPool* pool) const {
   const std::size_t batch = states.size();
   RT_REQUIRE(batch > 0, "step_batch: empty batch");
   RT_REQUIRE(features.cols() == config_.input_dim,
@@ -129,20 +125,21 @@ StepResult CompiledSpeechModel::step_batch(
                "step_batch: state layer count mismatch");
   }
 
-  Panels& panels = *panels_;
-  if (batch > panels.capacity) size_panels(panels, batch);
-  const Matrix& top = advance_layers(features, states, panels);
+  if (batch > panels.capacity) {
+    size_panels(panels, std::max(batch, kPresizedStreams));
+  }
+  const Matrix& top = advance_layers(features, states, panels, pool);
 
   const QuantizedActivations* xqp = nullptr;
   if (q8_acts_ && batch > 1) {
     panels.xq.resize(batch, top.cols());
-    for_each_stream(pool_, batch, [&](std::size_t b) {
+    for_each_stream(pool, batch, [&](std::size_t b) {
       panels.xq.quantize_row(b, top.row(b));
     });
     panels.xq.transpose(batch);
     xqp = &panels.xq;
   }
-  fc_.execute_batch(top, logits, batch, pool_, &panels.lre, xqp);
+  fc_.execute_batch(top, logits, batch, pool, &panels.lre, xqp);
   for (std::size_t b = 0; b < batch; ++b) {
     add_inplace(logits.row(b), fc_b_.span());
   }
@@ -151,12 +148,12 @@ StepResult CompiledSpeechModel::step_batch(
 
 const Matrix& CompiledSpeechModel::advance_layers(
     const Matrix& features, std::span<StreamState* const> states,
-    Panels& panels) const {
+    Panels& panels, ThreadPool* pool) const {
   const Matrix* x = &features;
   Matrix* out = &panels.out0;
   Matrix* out_prev = &panels.out1;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    advance_layer(l, *x, states, panels, *out);
+    advance_layer(l, *x, states, panels, *out, pool);
     x = out;
     std::swap(out, out_prev);
   }
@@ -165,7 +162,8 @@ const Matrix& CompiledSpeechModel::advance_layers(
 
 void CompiledSpeechModel::advance_layer(std::size_t l, const Matrix& x,
                                         std::span<StreamState* const> states,
-                                        Panels& panels, Matrix& out) const {
+                                        Panels& panels, Matrix& out,
+                                        ThreadPool* pool) const {
   const std::size_t batch = states.size();
   const std::size_t hidden = config_.hidden_dim;
   // Width 1 keeps fp32 activations: its matvecs are the per-vector
@@ -186,7 +184,7 @@ void CompiledSpeechModel::advance_layer(std::size_t l, const Matrix& x,
   // Gather this layer's recurrent states into one contiguous panel.
   // Panel row b is stream b of `states` — the caller's scheduler-
   // gather order, pinned as part of the step_batch contract.
-  for_each_stream(pool_, batch, [&](std::size_t b) {
+  for_each_stream(pool, batch, [&](std::size_t b) {
     const std::span<const float> h_prev = states[b]->h[l].span();
     std::copy(h_prev.begin(), h_prev.end(), panels.h.row(b).begin());
     if (q8) {
@@ -200,24 +198,24 @@ void CompiledSpeechModel::advance_layer(std::size_t l, const Matrix& x,
   }
 
   // Panels A/C take W_z x / W_r x and leave holding z / r . h_prev.
-  layer.w_z.execute_batch(x, panels.a, batch, pool_, &panels.lre, xqp);
-  layer.u_z.execute_batch(panels.h, panels.b, batch, pool_, &panels.lre,
+  layer.w_z.execute_batch(x, panels.a, batch, pool, &panels.lre, xqp);
+  layer.u_z.execute_batch(panels.h, panels.b, batch, pool, &panels.lre,
                           hqp);
-  layer.w_r.execute_batch(x, panels.c, batch, pool_, &panels.lre, xqp);
-  layer.u_r.execute_batch(panels.h, panels.d, batch, pool_, &panels.lre,
+  layer.w_r.execute_batch(x, panels.c, batch, pool, &panels.lre, xqp);
+  layer.u_r.execute_batch(panels.h, panels.d, batch, pool, &panels.lre,
                           hqp);
-  for_each_stream(pool_, batch, [&](std::size_t b) {
+  for_each_stream(pool, batch, [&](std::size_t b) {
     gru_update_reset_row(panels.a.row(b), panels.b.row(b), layer.b_z.span(),
                          panels.c.row(b), panels.d.row(b), layer.b_r.span(),
                          panels.h.row(b));
     if (q8) panels.gq.quantize_row(b, panels.c.row(b));
   });
   if (q8) panels.gq.transpose(batch);
-  layer.w_h.execute_batch(x, panels.b, batch, pool_, &panels.lre, xqp);
-  layer.u_h.execute_batch(panels.c, panels.d, batch, pool_, &panels.lre,
+  layer.w_h.execute_batch(x, panels.b, batch, pool, &panels.lre, xqp);
+  layer.u_h.execute_batch(panels.c, panels.d, batch, pool, &panels.lre,
                           gqp);
   // h = (1 - z) h_prev + z h~, scattered straight back to the states.
-  for_each_stream(pool_, batch, [&](std::size_t b) {
+  for_each_stream(pool, batch, [&](std::size_t b) {
     const std::span<float> h_out = out.row(b);
     gru_candidate_blend_row(panels.a.row(b), panels.b.row(b), panels.d.row(b),
                             layer.b_h.span(), panels.h.row(b), h_out);
@@ -225,7 +223,8 @@ void CompiledSpeechModel::advance_layer(std::size_t l, const Matrix& x,
   });
 }
 
-Matrix CompiledSpeechModel::infer(const Matrix& features) const {
+Matrix CompiledSpeechModel::infer(const Matrix& features,
+                                  ThreadPool* pool) const {
   RT_REQUIRE(features.cols() == config_.input_dim,
              "infer: feature dimension mismatch");
   const std::size_t frames = features.rows();
@@ -245,7 +244,7 @@ Matrix CompiledSpeechModel::infer(const Matrix& features) const {
     for (std::size_t t = 0; t < frames; ++t) {
       std::copy(sequence.row(t).begin(), sequence.row(t).end(),
                 frame.row(0).begin());
-      advance_layer(l, frame, {&state_ptr, 1}, panels, panels.out0);
+      advance_layer(l, frame, {&state_ptr, 1}, panels, panels.out0, pool);
       std::copy(panels.out0.row(0).begin(), panels.out0.row(0).end(),
                 next.row(t).begin());
     }
@@ -253,14 +252,15 @@ Matrix CompiledSpeechModel::infer(const Matrix& features) const {
   }
   Matrix logits(frames, config_.num_classes);
   for (std::size_t t = 0; t < frames; ++t) {
-    fc_.execute(sequence.row(t), logits.row(t), pool_, &panels.lre);
+    fc_.execute(sequence.row(t), logits.row(t), pool, &panels.lre);
     add_inplace(logits.row(t), fc_b_.span());
   }
   return logits;
 }
 
 void CompiledSpeechModel::run_recurrence(std::size_t frames,
-                                         std::size_t batch) const {
+                                         std::size_t batch,
+                                         ThreadPool* pool) const {
   RT_REQUIRE(frames > 0, "run_recurrence: frames must be positive");
   RT_REQUIRE(batch > 0, "run_recurrence: batch must be positive");
   Panels panels;
@@ -272,7 +272,7 @@ void CompiledSpeechModel::run_recurrence(std::size_t frames,
   std::vector<StreamState*> state_ptrs(batch);
   for (std::size_t b = 0; b < batch; ++b) state_ptrs[b] = &states[b];
   for (std::size_t t = 0; t < frames; ++t) {
-    advance_layers(x, state_ptrs, panels);
+    advance_layers(x, state_ptrs, panels, pool);
   }
 }
 
@@ -296,7 +296,7 @@ std::size_t CompiledSpeechModel::total_memory_bytes() const {
 }
 
 std::vector<CompiledSpeechModel::PlanProfile> CompiledSpeechModel::profile(
-    std::size_t iters) const {
+    std::size_t iters, ThreadPool* pool) const {
   RT_REQUIRE(iters > 0, "profile: iters must be positive");
   std::vector<PlanProfile> profiles;
   Vector x_input(config_.input_dim, 0.1F);
@@ -305,17 +305,16 @@ std::vector<CompiledSpeechModel::PlanProfile> CompiledSpeechModel::profile(
   Vector y_classes(config_.num_classes);
 
   // One gather scratch for every timed matvec, so the timings exclude
-  // the allocation execute() makes without one. Local, not panels_:
-  // a concurrent step may be using that.
+  // the allocation execute() makes without one.
   LreScratch scratch;
   const auto measure = [&](const std::string& name, const LayerPlan& plan,
                            std::span<const float> x, std::span<float> y) {
     PlanProfile entry;
     entry.name = name;
     entry.nnz = plan.nnz();
-    plan.execute(x, y, pool_, &scratch);  // grows the scratch untimed
+    plan.execute(x, y, pool, &scratch);  // grows the scratch untimed
     entry.time_us = time_best_of_us(
-        [&] { plan.execute(x, y, pool_, &scratch); }, iters, 2);
+        [&] { plan.execute(x, y, pool, &scratch); }, iters, 2);
     profiles.push_back(std::move(entry));
   };
 

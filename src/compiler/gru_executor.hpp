@@ -5,10 +5,12 @@
 // partition), executing the same recurrence as SpeechModel::forward but
 // through the optimized kernels. Numerical output is bit-comparable to the
 // reference forward pass up to float accumulation order.
+// The compiled model is immutable and holds no scratch and no threads:
+// callers bring their own, so any number of engines (every shard of a
+// ShardedEngine) can serve one compiled copy of the weights at once.
 #pragma once
 
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,9 +37,9 @@ struct StreamState {
 
 /// What one step_batch dispatch actually ran: the compute width (streams
 /// advanced) and whether that width was batched (width > 1: every weight
-/// matrix driven once over a multi-row panel) or a single stream's
-/// matvecs. The engine counts it once, for RuntimeStats and
-/// rt_fused_steps_total alike.
+/// matrix driven once over a multi-row panel) or a width-1 step. The
+/// engine counts it once, in the cells RuntimeStats and the
+/// rt_fused_batch_width histogram read.
 struct StepResult {
   std::size_t width = 0;
   bool fused = false;
@@ -45,21 +47,36 @@ struct StepResult {
 
 class CompiledSpeechModel {
  public:
+  /// Row-per-stream panels and quantized-activation buffers: the scratch
+  /// of one caller driving step_batch. Row b of every panel belongs to
+  /// stream b of the dispatched batch (states order). `h` holds the
+  /// gathered previous hidden states; `out0`/`out1` alternate as each
+  /// layer's output panel (the next layer's input); `a`..`d` are the gate
+  /// buffers. `xq`/`hq`/`gq` carry the int8 activation codes for the
+  /// input, hidden, and (r.h) panels when the int8 activation path is on.
+  /// The first step_batch sizes a default-constructed instance for
+  /// kPresizedStreams streams, so reusing it is allocation-free.
+  struct Panels {
+    std::size_t capacity = 0;
+    Matrix h, out0, out1, a, b, c, d;
+    QuantizedActivations xq, hq, gq;
+    LreScratch lre;
+  };
+
   /// Compiles `model` under `options`. `masks` maps weight names
   /// ("gru0.w_z", ...) to their BSP structure; weights without an entry are
-  /// compiled dense. `pool` (optional, not owned) enables multithreaded
-  /// execution; it must outlive the compiled model.
+  /// compiled dense. The plans are partitioned for `options.threads`; a
+  /// pool of that width handed to the compute calls runs them threaded.
   CompiledSpeechModel(const SpeechModel& model,
                       const std::map<std::string, BlockMask>& masks,
-                      const CompilerOptions& options,
-                      ThreadPool* pool = nullptr);
+                      const CompilerOptions& options);
 
   /// Per-frame logits for an utterance (T x input_dim) -> (T x classes),
   /// run layer by layer (each layer over every frame, then the next) as
-  /// width-1 steps in panels of its own, so it may run beside a
-  /// step_batch on the same model (when the model has a pool, that pool
-  /// still takes one caller at a time).
-  [[nodiscard]] Matrix infer(const Matrix& features) const;
+  /// width-1 steps in panels of its own, threaded over `pool` (optional,
+  /// not owned; a pool takes one caller at a time).
+  [[nodiscard]] Matrix infer(const Matrix& features,
+                             ThreadPool* pool = nullptr) const;
 
   /// Fresh zero-initialized recurrent state for one stream.
   [[nodiscard]] StreamState make_state() const;
@@ -84,20 +101,19 @@ class CompiledSpeechModel {
   /// ActivationPrecision::kInt8 (int8 weights), widths above 1 quantize
   /// the activation panels; width 1 keeps fp32 activations.
   ///
-  /// The panels live on the model, pre-sized for kPresizedStreams streams
-  /// and grown once for a wider batch, so one engine driving step_batch
-  /// is allocation-free per timestep; as a consequence step_batch must
-  /// not be called concurrently on the same CompiledSpeechModel (each
-  /// serving shard owns its own instance).
+  /// `panels` and `pool` (optional, not owned) are the caller's: the
+  /// model itself is never written, so callers with their own panels and
+  /// pools may step one model concurrently.
   StepResult step_batch(const Matrix& features,
-                        std::span<StreamState* const> states,
-                        Matrix& logits) const;
+                        std::span<StreamState* const> states, Matrix& logits,
+                        Panels& panels, ThreadPool* pool = nullptr) const;
 
   /// Runs only the recurrent stack for `frames` timesteps on constant
   /// input — the steady-state inference kernel that Table II times —
   /// over `batch` streams on the same spine as step_batch, in panels of
-  /// its own.
-  void run_recurrence(std::size_t frames, std::size_t batch = 1) const;
+  /// its own, threaded over `pool`.
+  void run_recurrence(std::size_t frames, std::size_t batch = 1,
+                      ThreadPool* pool = nullptr) const;
 
   /// Total surviving weights across all compiled plans.
   [[nodiscard]] std::size_t total_nnz() const;
@@ -115,11 +131,11 @@ class CompiledSpeechModel {
     double time_us = 0.0;   // mean matvec time
     double share = 0.0;     // fraction of the summed matvec time
   };
-  /// Times every compiled plan (`iters` matvecs each, best of 2 batches)
-  /// and returns the breakdown, heaviest first. Identifies which matrices
-  /// dominate inference — the input the auto-tuner prioritizes.
+  /// Times every compiled plan (`iters` matvecs each over `pool`, best
+  /// of 2 batches), heaviest first. Identifies which matrices dominate
+  /// inference — the input the auto-tuner prioritizes.
   [[nodiscard]] std::vector<PlanProfile> profile(
-      std::size_t iters = 50) const;
+      std::size_t iters = 50, ThreadPool* pool = nullptr) const;
 
   [[nodiscard]] const ModelConfig& config() const { return config_; }
   [[nodiscard]] const CompilerOptions& options() const { return options_; }
@@ -131,22 +147,8 @@ class CompiledSpeechModel {
     Vector b_z, b_r, b_h;
   };
 
-  /// Streams the serving panels hold before their first growth.
+  /// Streams step_batch sizes a caller's panels for before any growth.
   static constexpr std::size_t kPresizedStreams = 64;
-
-  /// Row-per-stream panels and quantized-activation buffers for one
-  /// advance_layers caller. Row b of every panel belongs to stream b of
-  /// the dispatched batch (states order). `h` holds the gathered
-  /// previous hidden states; `out0`/`out1` alternate as each layer's
-  /// output panel (the next layer's input); `a`..`d` are the gate
-  /// buffers. `xq`/`hq`/`gq` carry the int8 activation codes for the
-  /// input, hidden, and (r.h) panels when the int8 activation path is on.
-  struct Panels {
-    std::size_t capacity = 0;
-    Matrix h, out0, out1, a, b, c, d;
-    QuantizedActivations xq, hq, gq;
-    LreScratch lre;
-  };
 
   /// Sizes `panels` (and their kernel scratch) for `capacity` streams.
   void size_panels(Panels& panels, std::size_t capacity) const;
@@ -157,7 +159,7 @@ class CompiledSpeechModel {
   /// `panels`.
   const Matrix& advance_layers(const Matrix& features,
                                std::span<StreamState* const> states,
-                               Panels& panels) const;
+                               Panels& panels, ThreadPool* pool) const;
 
   /// Advances GRU layer `l` of `states` by one timestep, with row b of
   /// `x` as stream b's input: row b of `out` (not a panel advance_layer
@@ -165,17 +167,13 @@ class CompiledSpeechModel {
   /// state.
   void advance_layer(std::size_t l, const Matrix& x,
                      std::span<StreamState* const> states, Panels& panels,
-                     Matrix& out) const;
+                     Matrix& out, ThreadPool* pool) const;
 
   ModelConfig config_;
   CompilerOptions options_;
   std::vector<CompiledLayer> layers_;
   LayerPlan fc_;
   Vector fc_b_;
-  ThreadPool* pool_;
-  /// step_batch's panels. unique_ptr so const member functions can
-  /// fill them (scratch, not logical state).
-  std::unique_ptr<Panels> panels_;
   /// Compile-time decision: int8 activations requested AND every GRU /
   /// FC plan stores int8 weights, so a batched step can run
   /// code-by-code.

@@ -16,8 +16,7 @@ Deployment RtMobile::compile_with(SpeechModel& model, BspResult bsp,
     deployment.pool = std::make_unique<ThreadPool>(config_.compiler.threads);
   }
   deployment.compiled = std::make_unique<CompiledSpeechModel>(
-      model, deployment.pruning.block_masks, config_.compiler,
-      deployment.pool.get());
+      model, deployment.pruning.block_masks, config_.compiler);
   return deployment;
 }
 

@@ -34,7 +34,7 @@ struct RtMobileConfig {
 
 /// A deployed model plus the artifacts that produced it.
 struct Deployment {
-  std::unique_ptr<ThreadPool> pool;  // owned; referenced by `compiled`
+  std::unique_ptr<ThreadPool> pool;  // for `compiled`; null at 1 thread
   std::unique_ptr<CompiledSpeechModel> compiled;
   BspResult pruning;
   std::optional<TunerResult> tuning;

@@ -33,9 +33,10 @@
 
 namespace rtmobile {
 
-/// A contiguous range of CPU cores, the placement hint the sharded
-/// serving layer uses to keep engine replicas from fighting over cores:
-/// shard s gets [s * threads_per_shard, ...) and pins its pool there.
+/// A contiguous range of CPU cores to pin a pool's workers onto. The
+/// sharded serving layer (with ShardConfig::pin_cores) builds one per
+/// shard, [s * threads_per_shard, ...), so engine replicas don't fight
+/// over cores.
 struct CoreRange {
   std::size_t begin = 0;
   std::size_t count = 0;

@@ -21,18 +21,14 @@ struct Family {
 constexpr Family<Counter> kEngineCounters[] = {
     {&EngineCells::frames, "rt_engine_frames_total",
      "Feature frames served by engine steps"},
-    {&EngineCells::steps, "rt_engine_steps_total",
-     "Engine scheduling rounds executed"},
     {&EngineCells::deadline_misses, "rt_engine_deadline_misses_total",
      "Frames served after waiting past their stream's deadline budget"},
     {&EngineCells::shed_frames, "rt_engine_shed_frames_total",
      "Frames dropped by the overload policy (shed or reject)"},
     {&EngineCells::rejected_streams, "rt_engine_rejected_streams_total",
      "Streams terminated by OverloadPolicy::kReject"},
-    {&EngineCells::fused_steps, "rt_fused_steps_total",
-     "Scheduling rounds whose batch ran the fused batched-matmat step"},
     {&EngineCells::fallback_steps, "rt_fallback_steps_total",
-     "Scheduling rounds whose batch fell back to per-stream matvecs"},
+     "Scheduling rounds whose batch ran a width-1 step"},
     {&EngineCells::cache_hits, "rt_cache_hits_total",
      "Frames served from the prefix result cache (compute skipped)"},
     {&EngineCells::cache_misses, "rt_cache_misses_total",
@@ -72,6 +68,9 @@ void append(MetricsSnapshot& snap, const char* name, const char* help,
 }  // namespace
 
 void EngineCells::reset() {
+  // Exported as histogram counts, so not in kEngineCounters.
+  steps.reset();
+  fused_steps.reset();
   for (const auto& family : kEngineCounters) (this->*family.cell).reset();
   for (const auto& family : kEngineGauges) {
     if (!family.level) (this->*family.cell).set(0.0);

@@ -10,11 +10,13 @@
 // ServerConfig::telemetry covers the epoll front.
 //
 // Engine counters are each engine's own EngineCells, attached here: the
-// rt_engine_*, rt_fused_*/rt_fallback_* and rt_cache_* families are the
+// rt_engine_*, rt_fallback_steps_total and rt_cache_* families are the
 // sums of the attached cells plus what reset or destroyed engines
 // retired, so /metrics and the engines' merged RuntimeStats are one set
 // of numbers. The histograms stay shared registry instruments, because
-// RuntimeStats keeps exact nearest-rank quantiles that buckets cannot.
+// RuntimeStats keeps exact nearest-rank quantiles that buckets cannot;
+// engine rounds and fused rounds are exported once, as the counts of the
+// rt_engine_step_latency_us and rt_fused_batch_width histograms.
 //
 // Exposition: render_prometheus()/render_json() merge the registry
 // snapshot with synthesized per-stage span samples (and, in JSON, the
@@ -36,11 +38,11 @@ namespace rtmobile::obs {
 /// the engine and read by its stats() and by an attached Telemetry.
 struct EngineCells {
   Counter frames;            // RuntimeStats::frames_processed
-  Counter steps;             // RuntimeStats::steps
+  Counter steps;             // RuntimeStats::steps (not exported)
   Counter deadline_misses;   // RuntimeStats::deadline_misses
   Counter shed_frames;       // RuntimeStats::shed_frames
   Counter rejected_streams;  // RuntimeStats::rejected_streams
-  Counter fused_steps;       // RuntimeStats::fused_steps
+  Counter fused_steps;       // RuntimeStats::fused_steps (not exported)
   Counter fallback_steps;    // RuntimeStats::fallback_steps
   Counter cache_hits;        // RuntimeStats::cache_hits
   Counter cache_misses;      // RuntimeStats::cache_misses

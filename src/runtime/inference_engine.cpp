@@ -289,7 +289,8 @@ std::size_t InferenceEngine::step() {
     {
       RT_SPAN(trace, kLayerStep, obs::kNoStream);
       const StepResult result =
-          model_.step_batch(batch_features_, states_, batch_logits_);
+          model_.step_batch(batch_features_, states_, batch_logits_,
+                            panels_, config_.pool);
       if (result.fused) {
         cells_.fused_steps.add(1);
         fused_width_.record(static_cast<double>(result.width));
@@ -383,7 +384,8 @@ std::unique_ptr<StreamingSession> InferenceEngine::release_session(
 StreamingSession& InferenceEngine::adopt_session(
     std::unique_ptr<StreamingSession> session) {
   RT_REQUIRE(session != nullptr, "adopt_session: null session");
-  session->rebind(model_);
+  RT_REQUIRE(&session->model() == &model_,
+             "adopt_session: session was created on another compiled model");
   session->set_clock(&clock());
   session->set_telemetry(config_.telemetry);
   sessions_.push_back(std::move(session));

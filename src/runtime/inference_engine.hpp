@@ -4,8 +4,9 @@
 // Each scheduling round (step) gathers at most one ready feature frame
 // from up to max_batch sessions, stacks them into a single timestep
 // batch, and advances all of those streams with one
-// CompiledSpeechModel::step_batch call — which partitions the rows across
-// the model's thread pool, so cross-stream work saturates cores even when
+// CompiledSpeechModel::step_batch call on the engine's own panels —
+// which partitions the rows across the engine's thread pool
+// (EngineConfig::pool), so cross-stream work saturates cores even when
 // each stream's matvecs are too small to thread individually. Logit rows
 // are scattered back to their sessions. Each serving event is counted
 // once, in obs::EngineCells that both stats() and /metrics read.
@@ -56,6 +57,10 @@ struct EngineConfig {
   /// Time source for arrival stamps and lag (must outlive the engine);
   /// null = the shared-epoch monotonic wall clock.
   EngineClock* clock = nullptr;
+  /// Threads step() runs the model over, sized to the model's
+  /// CompilerOptions::threads (not owned; must outlive the engine); null
+  /// = the stepping thread computes alone.
+  ThreadPool* pool = nullptr;
   /// Observability sink (histograms, span traces, and the /metrics
   /// families summing every attached engine's counter cells); null (the
   /// default) costs one branch. Must outlive the engine.
@@ -87,8 +92,9 @@ struct EngineConfig {
 
 class InferenceEngine {
  public:
-  /// `model` must outlive the engine; its thread pool (if any) is what
-  /// step_batch parallelizes over.
+  /// `model` must outlive the engine and is only read: other engines
+  /// may serve it at the same time. step_batch parallelizes over
+  /// `config.pool` (if any).
   explicit InferenceEngine(const CompiledSpeechModel& model,
                            EngineConfig config = EngineConfig{});
   /// Retires the counter cells into the Telemetry's totals.
@@ -137,15 +143,16 @@ class InferenceEngine {
   // ---- cross-engine session transfer (shard migration) ----
   /// Detaches the session at `index` and returns ownership; remaining
   /// sessions keep their relative order (and their place in the
-  /// round-robin scan). The session still references this engine's model
-  /// until adopted elsewhere.
+  /// round-robin scan). The session keeps referencing the model it was
+  /// created on, so only an engine serving that model can adopt it.
   [[nodiscard]] std::unique_ptr<StreamingSession> release_session(
       std::size_t index);
   /// Same, addressed by the session pointer this engine handed out.
   [[nodiscard]] std::unique_ptr<StreamingSession> release_session(
       const StreamingSession* session);
-  /// Takes ownership of a session released from another engine, rebinding
-  /// it to this engine's model (dimensions must match) and clock. Its
+  /// Takes ownership of a session released from another engine serving
+  /// the same CompiledSpeechModel (a session of any other model throws
+  /// std::invalid_argument), moving it onto this engine's clock. Its
   /// hidden state, queued frames (arrival stamps included), and logits
   /// carry over untouched.
   StreamingSession& adopt_session(std::unique_ptr<StreamingSession> session);
@@ -178,9 +185,7 @@ class InferenceEngine {
   }
 
   /// The compiled model this engine serves — capacity planners read its
-  /// weight precision and storage footprint from here (a packed int8
-  /// replica costs ~4x less resident weight memory than fp32, which is
-  /// what decides how many replicas fit a NUMA domain).
+  /// weight precision and storage footprint from here.
   [[nodiscard]] const CompiledSpeechModel& model() const { return model_; }
 
   /// The engine's prefix result cache (null when EngineConfig::cache is
@@ -222,6 +227,7 @@ class InferenceEngine {
   // Reused batch buffers, grown only when a step's batch exceeds them.
   Matrix batch_features_;
   Matrix batch_logits_;
+  CompiledSpeechModel::Panels panels_;  // step_batch's scratch
   std::vector<StreamingSession*> active_;
   std::vector<StreamState*> states_;
   /// Priority-gather scratch: every ready session, sorted by deadline or

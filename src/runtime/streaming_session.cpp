@@ -13,7 +13,7 @@ StreamingSession::StreamingSession(
     std::shared_ptr<const speech::MfccExtractor> mfcc,
     const speech::StreamingDecoderConfig& decode)
     : id_(id),
-      model_(&model),
+      model_(model),
       mfcc_(std::move(mfcc)),
       state_(model.make_state()) {
   RT_REQUIRE(mfcc_.feature_dim() == model.config().input_dim,
@@ -27,17 +27,6 @@ StreamingSession::StreamingSession(
   std::vector<float> flat;
   capture_state(flat);
   prefix_cursor_ = cache::PrefixCursor::from_state(flat);
-}
-
-void StreamingSession::rebind(const CompiledSpeechModel& model) {
-  const ModelConfig& from = model_->config();
-  const ModelConfig& to = model.config();
-  RT_REQUIRE(from.input_dim == to.input_dim &&
-                 from.hidden_dim == to.hidden_dim &&
-                 from.num_layers == to.num_layers &&
-                 from.num_classes == to.num_classes,
-             "rebind: model dimensions must match");
-  model_ = &model;
 }
 
 void StreamingSession::push_audio(std::span<const float> samples) {
@@ -86,7 +75,7 @@ void StreamingSession::pop_frame() {
 }
 
 void StreamingSession::append_logits(std::span<const float> row) {
-  RT_REQUIRE(row.size() == model_->config().num_classes,
+  RT_REQUIRE(row.size() == model_.config().num_classes,
              "append_logits: row width mismatch");
   logits_.insert(logits_.end(), row.begin(), row.end());
   ++frames_done_;
@@ -229,7 +218,7 @@ double StreamingSession::seconds_per_frame() const {
 }
 
 Matrix StreamingSession::logits() const {
-  const std::size_t classes = model_->config().num_classes;
+  const std::size_t classes = model_.config().num_classes;
   Matrix out(frames_done_, classes);
   std::copy(logits_.begin(), logits_.end(), out.data());
   return out;

@@ -59,13 +59,9 @@ class StreamingSession {
     return mfcc_.extractor();
   }
 
-  /// Re-points the session at another compiled instance of the same
-  /// model (identical dimensions required). Used when a serving shard
-  /// drains and its live streams migrate to a sibling shard: the hidden
-  /// state, pending frames, and logits all carry over, and because every
-  /// replica computes identical arithmetic the stream's output stays
-  /// bit-identical to an unmigrated run.
-  void rebind(const CompiledSpeechModel& model);
+  /// The compiled model the session was created on. A session migrates
+  /// only between engines serving this same model.
+  [[nodiscard]] const CompiledSpeechModel& model() const { return model_; }
 
   /// Feeds an audio chunk (any size); newly completed feature frames are
   /// queued for the engine, stamped with the clock's current time.
@@ -201,7 +197,7 @@ class StreamingSession {
                           std::size_t dropped, bool is_final);
 
   std::size_t id_;
-  const CompiledSpeechModel* model_;  // rebindable on shard migration
+  const CompiledSpeechModel& model_;
   speech::StreamingMfcc mfcc_;
   std::deque<std::vector<float>> pending_;  // feature frames awaiting a step
   /// Arrival stamp per queued frame (parallel to pending_).

@@ -26,8 +26,8 @@ namespace rtmobile::serve {
 
 class LocalRecognizer final : public Recognizer {
  public:
-  /// `model` must outlive the recognizer; its thread pool (if any) is
-  /// what step batches parallelize over.
+  /// `model` must outlive the recognizer; step batches parallelize over
+  /// `config.pool` (if any).
   explicit LocalRecognizer(const CompiledSpeechModel& model,
                            runtime::EngineConfig config = {});
 

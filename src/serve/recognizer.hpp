@@ -101,9 +101,8 @@ struct GlobalStats {
   double aggregate_fps = 0.0;  // sum over shards of frames / busy seconds
   double wall_us = 0.0;        // serving window; 0 when not measured
   /// Compiled weight storage (values + indices + quantization scales)
-  /// each replica carries — the per-shard memory cost of another
-  /// replica, which CompilerOptions::precision shrinks 2-4x. Summed over
-  /// shards by the engine when it fills this view.
+  /// of the one compiled model every shard serves, counted once however
+  /// many shards share it; CompilerOptions::precision shrinks it 2-4x.
   std::size_t weight_bytes = 0;
 
   /// Folds one shard's stats into the fleet view.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -40,6 +41,13 @@ class SpinLatch {
   std::atomic<bool>& flag_;
 };
 
+/// `options` partitioned for `threads`: what every shard's pool runs.
+CompilerOptions with_threads(CompilerOptions options, std::size_t threads) {
+  RT_REQUIRE(threads >= 1, "sharded engine needs >= 1 thread per shard");
+  options.threads = threads;
+  return options;
+}
+
 /// Monotonic microseconds for heartbeat stamps (steady: never jumps with
 /// wall-clock adjustments, which would fake a stall).
 std::uint64_t steady_now_us() {
@@ -66,33 +74,28 @@ ShardedEngine::ShardedEngine(const SpeechModel& model,
                              const CompilerOptions& options,
                              ShardConfig config)
     : config_(std::move(config)),
+      model_(model, masks, with_threads(options, config_.threads_per_shard)),
       router_(config_.shards, config_.policy) {
   RT_REQUIRE(config_.shards >= 1, "sharded engine needs >= 1 shard");
-  RT_REQUIRE(config_.threads_per_shard >= 1,
-             "sharded engine needs >= 1 thread per shard");
 
   shards_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     auto shard = std::make_unique<Shard>();
-    CompilerOptions shard_options = options;
-    shard_options.threads = config_.threads_per_shard;
-    if (config_.pin_cores) {
-      shard_options.core_range = CoreRange{s * config_.threads_per_shard,
-                                           config_.threads_per_shard};
-    }
     if (config_.threads_per_shard > 1) {
-      shard->pool = std::make_unique<ThreadPool>(config_.threads_per_shard,
-                                                 shard_options.core_range);
+      const CoreRange cores{s * config_.threads_per_shard,
+                            config_.threads_per_shard};
+      shard->pool = std::make_unique<ThreadPool>(
+          cores.count,
+          config_.pin_cores ? std::optional(cores) : std::nullopt);
     }
-    shard->model = std::make_unique<CompiledSpeechModel>(
-        model, masks, shard_options, shard->pool.get());
     // Each replica keys every injection site by its shard index, so a
     // fault spec can kill exactly one replica and leave its siblings
     // serving.
     runtime::EngineConfig engine_config = config_.engine;
     engine_config.fault_key = s;
-    shard->engine = std::make_unique<runtime::InferenceEngine>(
-        *shard->model, engine_config);
+    engine_config.pool = shard->pool.get();
+    shard->engine =
+        std::make_unique<runtime::InferenceEngine>(model_, engine_config);
     shard->queue = std::make_unique<SubmissionQueue>(config_.queue_capacity);
     if (config_.engine.fault != nullptr) {
       shard->queue->set_fault(config_.engine.fault, s);
@@ -125,7 +128,7 @@ ShardedEngine::~ShardedEngine() {
 
 const CompiledSpeechModel& ShardedEngine::shard_model(std::size_t s) const {
   RT_REQUIRE(s < shards_.size(), "shard index out of range");
-  return *shards_[s]->model;
+  return model_;
 }
 
 ShardedEngine::StreamEntry& ShardedEngine::entry(StreamHandle h) const {
@@ -1278,10 +1281,8 @@ GlobalStats ShardedEngine::stats() const {
   RT_REQUIRE(!running(), "stats: stop the engine first");
   GlobalStats global;
   global.wall_us = window_us_;
-  for (const auto& shard : shards_) {
-    global.add_shard(shard->engine->stats());
-    global.weight_bytes += shard->model->total_memory_bytes();
-  }
+  for (const auto& shard : shards_) global.add_shard(shard->engine->stats());
+  global.weight_bytes = model_.total_memory_bytes();
   return global;
 }
 

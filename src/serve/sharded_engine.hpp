@@ -1,15 +1,16 @@
 // Sharded multi-engine serving layer.
 //
-// A ShardedEngine owns N engine replicas ("shards"): each shard compiles
-// its own CompiledSpeechModel instance, owns a private thread pool
-// (optionally pinned to a disjoint core range so shards never fight over
-// cores), an InferenceEngine multiplexing that shard's streams, and a
-// bounded MPSC SubmissionQueue as its ingress. Client threads enqueue
-// audio chunks through the queue without ever taking an engine step
-// lock; one pump thread per shard applies queued commands and steps its
-// engine. A ShardRouter admits each new stream to a shard (round-robin,
-// least-loaded by queue depth, or session-hash affinity), and stats()
-// folds per-shard RuntimeStats into the GlobalStats fleet view.
+// A ShardedEngine compiles the model once and serves it from N engine
+// replicas ("shards"): every shard's InferenceEngine reads that one
+// immutable CompiledSpeechModel, and each shard owns its engine's panels,
+// a private thread pool (optionally pinned to a disjoint core range so
+// shards never fight over cores), and a bounded MPSC SubmissionQueue as
+// its ingress. Client threads enqueue audio chunks through the queue
+// without ever taking an engine step lock; one pump thread per shard
+// applies queued commands and steps its engine. A ShardRouter admits
+// each new stream to a shard (round-robin, least-loaded by queue depth,
+// or session-hash affinity), and stats() folds per-shard RuntimeStats
+// into the GlobalStats fleet view.
 //
 // Two execution modes:
 //  - threaded: start() launches one pump thread per shard; stop() is a
@@ -79,16 +80,16 @@ struct SupervisorConfig {
 };
 
 struct ShardConfig {
-  /// Engine replicas to run. Each compiles its own copy of the model.
+  /// Engine replicas to run. They share one compiled copy of the model.
   std::size_t shards = 2;
   RoutePolicy policy = RoutePolicy::kLeastLoaded;
   /// Per-shard ingress ring capacity (commands; rounded up to a power of
   /// two). A full ring surfaces as submit_audio() returning false.
   std::size_t queue_capacity = 1024;
-  /// Pool width per shard (1 = the pump thread computes alone).
+  /// Pool width per shard (1 = the pump thread computes alone); also the
+  /// thread partition the one compiled model is built for.
   std::size_t threads_per_shard = 1;
-  /// Pin shard s's pump + pool onto cores [s*threads_per_shard, ...), the
-  /// core-range hint recorded in each replica's CompilerOptions.
+  /// Pin shard s's pump + pool onto cores [s*threads_per_shard, ...).
   bool pin_cores = false;
   /// Per-shard engine settings (max_batch, default MFCC front end).
   /// `engine.fault` (nullable) also arms the serve-layer injection
@@ -101,8 +102,8 @@ struct ShardConfig {
 
 class ShardedEngine final : public Recognizer {
  public:
-  /// Compiles `config.shards` replicas of `model` under `options` (the
-  /// per-shard thread width and core range are filled in per replica).
+  /// Compiles `model` once under `options` (its thread width set to
+  /// config.threads_per_shard) and starts `config.shards` engines on it.
   ShardedEngine(const SpeechModel& model,
                 const std::map<std::string, BlockMask>& masks,
                 const CompilerOptions& options, ShardConfig config);
@@ -113,6 +114,7 @@ class ShardedEngine final : public Recognizer {
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] const ShardConfig& config() const { return config_; }
+  /// The compiled model shard `s` serves — the same one for every shard.
   [[nodiscard]] const CompiledSpeechModel& shard_model(std::size_t s) const;
 
   // ---- stream lifecycle (any thread) ----
@@ -300,7 +302,6 @@ class ShardedEngine final : public Recognizer {
 
   struct Shard {
     std::unique_ptr<ThreadPool> pool;  // null when threads_per_shard == 1
-    std::unique_ptr<CompiledSpeechModel> model;
     std::unique_ptr<runtime::InferenceEngine> engine;
     std::unique_ptr<SubmissionQueue> queue;
     std::thread pump;
@@ -422,6 +423,9 @@ class ShardedEngine final : public Recognizer {
   void forward_command(std::size_t target, StreamCommand&& command);
 
   ShardConfig config_;
+  /// The one compiled model every shard's engine serves (declared before
+  /// shards_ so it outlives their engines).
+  CompiledSpeechModel model_;
   std::vector<std::unique_ptr<Shard>> shards_;
   ShardRouter router_;
   /// Guards admission (table growth + router state); never taken on the

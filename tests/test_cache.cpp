@@ -73,7 +73,7 @@ TestDeployment make_deployment(std::size_t hidden, std::uint64_t seed) {
   }
   d.options.format = SparseFormat::kBspc;
   d.compiled = std::make_unique<CompiledSpeechModel>(*d.model, d.masks,
-                                                     d.options, nullptr);
+                                                     d.options);
   return d;
 }
 
@@ -553,7 +553,7 @@ TEST(CacheSharded, MigratedCacheResumedStreamStaysBitwise) {
   options.format = SparseFormat::kBspc;
 
   const std::vector<float> wave = random_waveform(12000, 13);
-  const CompiledSpeechModel reference_model(*model, masks, options, nullptr);
+  const CompiledSpeechModel reference_model(*model, masks, options);
   const Matrix reference = reference_model.infer(
       speech::MfccExtractor(streaming_mfcc_config()).extract(wave));
 

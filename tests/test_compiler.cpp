@@ -239,8 +239,8 @@ TEST(CompiledModel, MatchesReferenceForwardBspc) {
     options.threads = threads;
     std::unique_ptr<ThreadPool> pool;
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    const CompiledSpeechModel compiled(model, masks, options, pool.get());
-    const Matrix fast = compiled.infer(features);
+    const CompiledSpeechModel compiled(model, masks, options);
+    const Matrix fast = compiled.infer(features, pool.get());
     EXPECT_LT(max_abs_diff(reference.span(), fast.span()), 1e-3F)
         << "threads=" << threads;
     EXPECT_EQ(compiled.total_nnz(),

@@ -233,7 +233,8 @@ TEST(RtMobileFacade, OneShotDeployProducesWorkingExecutor) {
   Matrix features(4, 12);
   fill_normal(features.span(), rng, 1.0F);
   const Matrix reference = model.forward(features);
-  const Matrix fast = deployment.compiled->infer(features);
+  const Matrix fast =
+      deployment.compiled->infer(features, deployment.pool.get());
   EXPECT_LT(max_abs_diff(reference.span(), fast.span()), 1e-3F);
   EXPECT_GT(deployment.pruning.stats.overall_rate(), 2.0);
 }

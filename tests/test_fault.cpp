@@ -638,7 +638,7 @@ TEST(NetFault, IdleConnectionsAreReapedWithTypedTimeout) {
   // rt_fault_reaped_connections_total, and the count is scrapeable over
   // the live /metrics endpoint — the whole loop, end to end over TCP.
   const ServeFixture f = make_fixture(16, 1006);
-  CompiledSpeechModel model(*f.model, f.masks, f.options, nullptr);
+  CompiledSpeechModel model(*f.model, f.masks, f.options);
   serve::LocalRecognizer recognizer(model);
   obs::Telemetry telemetry;
   net::ServerConfig server_config;
@@ -680,7 +680,7 @@ TEST(NetFault, IdleConnectionsAreReapedWithTypedTimeout) {
 
 TEST(NetFault, InjectedPeerResetDropsOnlyTheVictimConnection) {
   const ServeFixture f = make_fixture(16, 1007);
-  CompiledSpeechModel model(*f.model, f.masks, f.options, nullptr);
+  CompiledSpeechModel model(*f.model, f.masks, f.options);
   serve::LocalRecognizer recognizer(model);
   obs::Telemetry telemetry;
   FaultInjector injector(&telemetry);
@@ -727,7 +727,7 @@ TEST(NetFault, WritingToPeerClosedSocketDoesNotKillTheServer) {
   // peer already closed. The process must survive (MSG_NOSIGNAL +
   // SIG_IGN) and keep serving its other clients.
   const ServeFixture f = make_fixture(16, 1008);
-  CompiledSpeechModel model(*f.model, f.masks, f.options, nullptr);
+  CompiledSpeechModel model(*f.model, f.masks, f.options);
   serve::LocalRecognizer recognizer(model);
   net::RecognizerServer server(recognizer, net::ServerConfig{});
   server.start();
@@ -792,7 +792,7 @@ TEST(NetFault, AbsurdDeclaredFrameLengthGetsTypedRefusal) {
   EXPECT_EQ(zeroed.failure(), net::WireError::kProtocol);
 
   const ServeFixture f = make_fixture(16, 1009);
-  CompiledSpeechModel model(*f.model, f.masks, f.options, nullptr);
+  CompiledSpeechModel model(*f.model, f.masks, f.options);
   serve::LocalRecognizer recognizer(model);
   net::RecognizerServer server(recognizer, net::ServerConfig{});
   server.start();

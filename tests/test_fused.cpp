@@ -77,8 +77,7 @@ std::unique_ptr<CompiledSpeechModel> compile(
   options.precision = precision;
   options.activation = activation;
   if (pool != nullptr) options.threads = pool->thread_count();
-  return std::make_unique<CompiledSpeechModel>(*f.model, f.masks, options,
-                                               pool);
+  return std::make_unique<CompiledSpeechModel>(*f.model, f.masks, options);
 }
 
 std::vector<Matrix> random_utterances(std::size_t count,
@@ -98,9 +97,11 @@ std::vector<Matrix> random_utterances(std::size_t count,
 /// Streams `utts` through step_batch one frame per round, the way the
 /// engine does: each round's batch holds exactly the streams that still
 /// have frames, in stream order — so mixed-length batches shrink the
-/// compute panel mid-flight. Returns each stream's stacked logits.
+/// compute panel mid-flight, on one set of panels over `pool`. Returns
+/// each stream's stacked logits.
 std::vector<Matrix> run_streamed(const CompiledSpeechModel& m,
-                                 const std::vector<Matrix>& utts) {
+                                 const std::vector<Matrix>& utts,
+                                 ThreadPool* pool) {
   const std::size_t classes = m.config().num_classes;
   const std::size_t input_dim = m.config().input_dim;
   std::vector<StreamState> states(utts.size(), m.make_state());
@@ -112,6 +113,7 @@ std::vector<Matrix> run_streamed(const CompiledSpeechModel& m,
   }
   Matrix features(utts.size(), input_dim);
   Matrix logits(utts.size(), classes);
+  CompiledSpeechModel::Panels panels;
   std::vector<StreamState*> ptrs;
   std::vector<std::size_t> ids;
   for (std::size_t t = 0; t < max_frames; ++t) {
@@ -125,7 +127,7 @@ std::vector<Matrix> run_streamed(const CompiledSpeechModel& m,
       ids.push_back(s);
     }
     if (ptrs.empty()) break;
-    m.step_batch(features, ptrs, logits);
+    m.step_batch(features, ptrs, logits, panels, pool);
     for (std::size_t i = 0; i < ids.size(); ++i) {
       std::copy(logits.row(i).begin(), logits.row(i).end(),
                 out[ids[i]].row(t).begin());
@@ -144,9 +146,9 @@ TEST(FusedStep, Fp32BitIdenticalAcrossBatchWidths) {
   for (const std::size_t width : {1UL, 2UL, 3UL, 5UL, 65UL}) {
     const std::vector<Matrix> utts =
         random_utterances(width, {6}, f.model->config().input_dim, 61);
-    const std::vector<Matrix> streamed = run_streamed(*fused, utts);
+    const std::vector<Matrix> streamed = run_streamed(*fused, utts, &pool);
     for (std::size_t s = 0; s < width; ++s) {
-      EXPECT_EQ(streamed[s], fused->infer(utts[s]))
+      EXPECT_EQ(streamed[s], fused->infer(utts[s], &pool))
           << "width " << width << " stream " << s;  // bitwise
     }
   }
@@ -163,9 +165,9 @@ TEST(FusedStep, PackedWeightsBitIdenticalThroughFusedPath) {
     const auto fused = compile(f, &pool, precision);
     const std::vector<Matrix> utts =
         random_utterances(4, {5}, f.model->config().input_dim, 63);
-    const std::vector<Matrix> streamed = run_streamed(*fused, utts);
+    const std::vector<Matrix> streamed = run_streamed(*fused, utts, &pool);
     for (std::size_t s = 0; s < utts.size(); ++s) {
-      EXPECT_EQ(streamed[s], fused->infer(utts[s]))
+      EXPECT_EQ(streamed[s], fused->infer(utts[s], &pool))
           << to_string(precision) << " stream " << s;
     }
   }
@@ -178,9 +180,9 @@ TEST(FusedStep, SparsityPatternsStayBitIdentical) {
     const auto fused = compile(f, &pool);
     const std::vector<Matrix> utts =
         random_utterances(3, {5}, f.model->config().input_dim, 65);
-    const std::vector<Matrix> streamed = run_streamed(*fused, utts);
+    const std::vector<Matrix> streamed = run_streamed(*fused, utts, &pool);
     for (std::size_t s = 0; s < utts.size(); ++s) {
-      EXPECT_EQ(streamed[s], fused->infer(utts[s]))
+      EXPECT_EQ(streamed[s], fused->infer(utts[s], &pool))
           << "keep " << keep << " stream " << s;
     }
   }
@@ -198,8 +200,9 @@ TEST(FusedStep, Int8ActivationsWithinQuantizationBound) {
                                  ActivationPrecision::kFp32);
   const std::vector<Matrix> utts =
       random_utterances(4, {6}, f.model->config().input_dim, 67);
-  const std::vector<Matrix> actual = run_streamed(*q8, utts);
-  const std::vector<Matrix> expected = run_streamed(*reference, utts);
+  const std::vector<Matrix> actual = run_streamed(*q8, utts, &pool);
+  const std::vector<Matrix> expected =
+      run_streamed(*reference, utts, &pool);
   for (std::size_t s = 0; s < utts.size(); ++s) {
     const float diff =
         max_abs_diff(actual[s].span(), expected[s].span());
@@ -228,8 +231,8 @@ TEST(FusedStep, PanelRowOrderIsPinnedToStatesOrder) {
   const std::vector<Matrix> utts =
       random_utterances(kStreams, {kFrames}, f.model->config().input_dim, 69);
 
-  const std::vector<Matrix> first = run_streamed(*fused, utts);
-  const std::vector<Matrix> again = run_streamed(*fused, utts);
+  const std::vector<Matrix> first = run_streamed(*fused, utts, &pool);
+  const std::vector<Matrix> again = run_streamed(*fused, utts, &pool);
   for (std::size_t s = 0; s < kStreams; ++s) {
     EXPECT_EQ(first[s], again[s]) << "rerun, stream " << s;
   }
@@ -239,6 +242,7 @@ TEST(FusedStep, PanelRowOrderIsPinnedToStatesOrder) {
   std::vector<StreamState> states(kStreams, fused->make_state());
   Matrix features(kStreams, f.model->config().input_dim);
   Matrix logits(kStreams, fused->config().num_classes);
+  CompiledSpeechModel::Panels panels;
   std::vector<Matrix> permuted(
       kStreams, Matrix(kFrames, fused->config().num_classes));
   for (std::size_t t = 0; t < kFrames; ++t) {
@@ -249,7 +253,7 @@ TEST(FusedStep, PanelRowOrderIsPinnedToStatesOrder) {
                 features.row(i).begin());
       ptrs.push_back(&states[s]);
     }
-    fused->step_batch(features, ptrs, logits);
+    fused->step_batch(features, ptrs, logits, panels, &pool);
     for (std::size_t i = 0; i < kStreams; ++i) {
       std::copy(logits.row(i).begin(), logits.row(i).end(),
                 permuted[order[i]].row(t).begin());
@@ -270,9 +274,9 @@ TEST(FusedStep, MidBatchStreamFinishKeepsParity) {
   const auto fused = compile(f, &pool);
   const std::vector<Matrix> utts = random_utterances(
       5, {6, 3, 1, 5, 2}, f.model->config().input_dim, 71);
-  const std::vector<Matrix> streamed = run_streamed(*fused, utts);
+  const std::vector<Matrix> streamed = run_streamed(*fused, utts, &pool);
   for (std::size_t s = 0; s < utts.size(); ++s) {
-    EXPECT_EQ(streamed[s], fused->infer(utts[s])) << "stream " << s;
+    EXPECT_EQ(streamed[s], fused->infer(utts[s], &pool)) << "stream " << s;
   }
 }
 
@@ -286,11 +290,12 @@ TEST(FusedStep, DispatchFollowsWidthRule) {
   const std::size_t input_dim = f.model->config().input_dim;
   Matrix features(65, input_dim, 0.1F);
   Matrix logits(65, compiled->config().num_classes);
+  CompiledSpeechModel::Panels panels;
   const auto dispatch = [&](std::size_t width) {
     std::vector<StreamState> states(width, compiled->make_state());
     std::vector<StreamState*> ptrs;
     for (StreamState& s : states) ptrs.push_back(&s);
-    return compiled->step_batch(features, ptrs, logits);
+    return compiled->step_batch(features, ptrs, logits, panels);
   };
 
   EXPECT_FALSE(dispatch(1).fused);
@@ -384,8 +389,9 @@ TEST(FusedStep, InferMatchesPerVectorRecurrence) {
       options.activation = c.activations;
       options.min_nnz_for_threading = 0;
       if (pool != nullptr) options.threads = pool->thread_count();
-      const CompiledSpeechModel compiled(*f.model, f.masks, options, pool);
-      EXPECT_EQ(compiled.infer(utt), per_vector_infer(f, options, pool, utt))
+      const CompiledSpeechModel compiled(*f.model, f.masks, options);
+      EXPECT_EQ(compiled.infer(utt, pool),
+                per_vector_infer(f, options, pool, utt))
           << c.name << (pool != nullptr ? " pooled" : " inline");  // bitwise
     }
   }
@@ -403,7 +409,8 @@ TEST(FusedStep, WidthOneKeepsFp32ActivationsUnderInt8) {
                                  ActivationPrecision::kFp32);
   const std::vector<Matrix> utts =
       random_utterances(1, {6}, f.model->config().input_dim, 81);
-  EXPECT_EQ(run_streamed(*q8, utts)[0], run_streamed(*fp32_acts, utts)[0]);
+  EXPECT_EQ(run_streamed(*q8, utts, &pool)[0],
+            run_streamed(*fp32_acts, utts, &pool)[0]);
 }
 
 // ------------------------------------------------------- engine level
@@ -425,7 +432,9 @@ TEST(FusedEngine, MixedLengthStreamsMatchInferAndAccountDispatch) {
   const ModelFixture f = make_fixture(24, 73);
   ThreadPool pool(2);
   const auto compiled = compile(f, &pool);
-  InferenceEngine engine(*compiled);
+  EngineConfig config;
+  config.pool = &pool;
+  InferenceEngine engine(*compiled, config);
   const std::vector<std::size_t> samples = {7000, 9000, 12000, 16000};
   std::vector<std::vector<float>> waves;
   for (std::size_t s = 0; s < samples.size(); ++s) {
@@ -441,7 +450,7 @@ TEST(FusedEngine, MixedLengthStreamsMatchInferAndAccountDispatch) {
   const speech::MfccExtractor extractor(engine.config().mfcc);
   for (std::size_t s = 0; s < waves.size(); ++s) {
     EXPECT_EQ(engine.session(s).logits(),
-              compiled->infer(extractor.extract(waves[s])))
+              compiled->infer(extractor.extract(waves[s]), &pool))
         << "stream " << s;  // bitwise
   }
   const runtime::RuntimeStats& stats = engine.stats();
@@ -462,6 +471,7 @@ TEST(FusedEngine, CacheHitBurstShrinksPanelAndKeepsParity) {
   const auto compiled = compile(f, &pool);
   EngineConfig config;
   config.cache.enabled = true;
+  config.pool = &pool;
   InferenceEngine engine(*compiled, config);
 
   const std::vector<float> repeat_wave = random_waveform(9000, 76);
@@ -486,9 +496,9 @@ TEST(FusedEngine, CacheHitBurstShrinksPanelAndKeepsParity) {
 
   const speech::MfccExtractor extractor(engine.config().mfcc);
   EXPECT_EQ(hit.logits(),
-            compiled->infer(extractor.extract(repeat_wave)));
+            compiled->infer(extractor.extract(repeat_wave), &pool));
   EXPECT_EQ(cold.logits(),
-            compiled->infer(extractor.extract(cold_wave)));
+            compiled->infer(extractor.extract(cold_wave), &pool));
   const runtime::RuntimeStats& stats = engine.stats();
   EXPECT_GT(stats.cache_hits, 0U);
   // Rounds fully served from cache dispatch no batch, so the dispatch

@@ -133,12 +133,11 @@ TEST_F(EndToEnd, CompiledModelReproducesReferencePer) {
   options.format = SparseFormat::kBspc;
   options.threads = 2;
   ThreadPool pool(2);
-  const CompiledSpeechModel compiled(pruned, result.block_masks, options,
-                                     &pool);
+  const CompiledSpeechModel compiled(pruned, result.block_masks, options);
   // Per-utterance logits agree, therefore PER agrees.
   for (const auto& utt : corpus->test) {
     const Matrix reference = pruned.forward(utt.features);
-    const Matrix fast = compiled.infer(utt.features);
+    const Matrix fast = compiled.infer(utt.features, &pool);
     EXPECT_LT(max_abs_diff(reference.span(), fast.span()), 5e-3F);
   }
 }
@@ -168,7 +167,8 @@ TEST_F(EndToEnd, FacadeDeploysTrainedModel) {
   {
     speech::EditStats total;
     for (const auto& utt : corpus->test) {
-      const Matrix logits = deployment.compiled->infer(utt.features);
+      const Matrix logits =
+          deployment.compiled->infer(utt.features, deployment.pool.get());
       const auto decoded = speech::greedy_decode(logits, decoder);
       total += speech::align({utt.phones.data(), utt.phones.size()},
                              {decoded.data(), decoded.size()});

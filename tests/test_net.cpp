@@ -413,11 +413,11 @@ TEST(NetServer, LoopbackEventsBitIdenticalToDirectPoll_Local) {
     StreamConfig config;
     config.decode.mode = mode;
 
-    CompiledSpeechModel direct_model(*f.model, f.masks, f.options, nullptr);
+    CompiledSpeechModel direct_model(*f.model, f.masks, f.options);
     LocalRecognizer direct(direct_model);
     const auto reference = direct_events(direct, waves, config, 1600);
 
-    CompiledSpeechModel served_model(*f.model, f.masks, f.options, nullptr);
+    CompiledSpeechModel served_model(*f.model, f.masks, f.options);
     LocalRecognizer served(served_model);
     RecognizerServer server(served, ServerConfig{});
     server.start();
@@ -469,7 +469,7 @@ TEST(NetServer, OpenRejectedOverBudgetOnTheWire) {
   // exactly 1 s, then a deadline-carrying open must be refused with the
   // typed wire error (no handle, no compute).
   const ServeFixture f = make_fixture(16, 902);
-  CompiledSpeechModel model(*f.model, f.masks, f.options, nullptr);
+  CompiledSpeechModel model(*f.model, f.masks, f.options);
   runtime::ManualClock clock;
   runtime::EngineConfig engine_config;
   engine_config.clock = &clock;
@@ -516,7 +516,7 @@ TEST(NetServer, OpenRejectedOverBudgetOnTheWire) {
 
 TEST(NetServer, ProtocolViolationsGetTypedErrors) {
   const ServeFixture f = make_fixture(16, 903);
-  CompiledSpeechModel model(*f.model, f.masks, f.options, nullptr);
+  CompiledSpeechModel model(*f.model, f.masks, f.options);
   LocalRecognizer recognizer(model);
   obs::Telemetry telemetry;
   ServerConfig server_config;
@@ -642,7 +642,7 @@ TEST(NetServer, SlowConsumerIsDroppedNotBuffered) {
   // A client that writes audio but never reads its events would grow
   // the server's write buffer without bound; the cap drops it instead.
   const ServeFixture f = make_fixture(16, 905);
-  CompiledSpeechModel model(*f.model, f.masks, f.options, nullptr);
+  CompiledSpeechModel model(*f.model, f.masks, f.options);
   LocalRecognizer recognizer(model);
   obs::Telemetry telemetry;
   ServerConfig server_config;

@@ -407,15 +407,22 @@ std::string scrape(const RecognizerServer& server) {
                                 "GET /metrics HTTP/1.0\r\nHost: test"));
 }
 
-/// The running-total engine families: every one must be non-decreasing
-/// from scrape to scrape, through serving, reset_stats() and restarts.
+/// The running-total engine families (engine rounds and fused rounds are
+/// the step-latency and fused-width histogram counts): every one must be
+/// non-decreasing from scrape to scrape, through serving, reset_stats()
+/// and restarts.
 const std::vector<std::string>& engine_counter_families() {
   static const std::vector<std::string> names = {
-      "rt_engine_frames_total",          "rt_engine_steps_total",
-      "rt_engine_deadline_misses_total", "rt_engine_shed_frames_total",
-      "rt_engine_rejected_streams_total", "rt_fused_steps_total",
-      "rt_fallback_steps_total",         "rt_cache_hits_total",
-      "rt_cache_misses_total",           "rt_cache_evictions_total",
+      "rt_engine_frames_total",
+      "rt_engine_step_latency_us_count",
+      "rt_engine_deadline_misses_total",
+      "rt_engine_shed_frames_total",
+      "rt_engine_rejected_streams_total",
+      "rt_fused_batch_width_count",
+      "rt_fallback_steps_total",
+      "rt_cache_hits_total",
+      "rt_cache_misses_total",
+      "rt_cache_evictions_total",
       "rt_cache_bytes_total"};
   return names;
 }
@@ -428,7 +435,8 @@ void expect_scrape_equals(const std::string& body,
                           const runtime::RuntimeStats& stats) {
   EXPECT_EQ(counter_value(body, "rt_engine_frames_total"),
             stats.frames_processed);
-  EXPECT_EQ(counter_value(body, "rt_engine_steps_total"), stats.steps);
+  EXPECT_EQ(counter_value(body, "rt_engine_step_latency_us_count"),
+            stats.steps);
   EXPECT_EQ(counter_value(body, "rt_engine_deadline_misses_total"),
             stats.deadline_misses);
   EXPECT_EQ(counter_value(body, "rt_engine_shed_frames_total"),
@@ -438,7 +446,8 @@ void expect_scrape_equals(const std::string& body,
   EXPECT_EQ(gauge_value(body, "rt_engine_busy_us"), stats.busy_us);
   EXPECT_EQ(gauge_value(body, "rt_engine_audio_seconds"),
             stats.audio_seconds);
-  EXPECT_EQ(counter_value(body, "rt_fused_steps_total"), stats.fused_steps);
+  EXPECT_EQ(counter_value(body, "rt_fused_batch_width_count"),
+            stats.fused_steps);
   EXPECT_EQ(counter_value(body, "rt_fallback_steps_total"),
             stats.fallback_steps);
   EXPECT_EQ(counter_value(body, "rt_cache_hits_total"), stats.cache_hits);
@@ -525,23 +534,15 @@ TEST(ObsE2E, LiveScrapeMatchesStatsAggregatorExactly) {
 
   // The tentpole guarantee: scrape == merged stats, exactly. Both read
   // the same per-engine counter cells, so no tolerance is needed, not
-  // even on the floating-point gauges.
+  // even on the floating-point gauges. That includes the step-latency
+  // histogram counting engine rounds one-for-one and the fused-width
+  // histogram holding one observation per fused round.
   expect_scrape_equals(body, stats.merged);
-  // Step-latency histogram count tracks engine rounds one-for-one.
-  EXPECT_EQ(counter_value(body, "rt_engine_step_latency_us_count"),
-            stats.merged.steps);
   // Fused-step accounting is RuntimeStats' own: every round that
-  // dispatched compute is either fused or a per-stream fallback (with
-  // the cache off here, that is every round), and the fused-width
-  // histogram holds one observation per fused round.
-  EXPECT_EQ(counter_value(body, "rt_fused_steps_total"),
-            stats.merged.fused_steps);
-  EXPECT_EQ(counter_value(body, "rt_fallback_steps_total"),
-            stats.merged.fallback_steps);
+  // dispatched compute is either fused or a width-1 step (with the cache
+  // off here, that is every round).
   EXPECT_EQ(stats.merged.fused_steps + stats.merged.fallback_steps,
             stats.merged.steps);
-  EXPECT_EQ(counter_value(body, "rt_fused_batch_width_count"),
-            stats.merged.fused_steps);
   EXPECT_EQ(stats.merged.fused_width.count(), stats.merged.fused_steps);
 
   // Net-front counters: all three data-plane clients are visible.
@@ -769,7 +770,7 @@ TEST(ObsE2E, ScrapeNeverGoesBackwardsWhileServingOrAcrossReset) {
   const std::string last = scrape(server);
   EXPECT_EQ(counter_value(last, "rt_engine_frames_total"),
             first.frames_processed + second.frames_processed);
-  EXPECT_EQ(counter_value(last, "rt_engine_steps_total"),
+  EXPECT_EQ(counter_value(last, "rt_engine_step_latency_us_count"),
             first.steps + second.steps);
   EXPECT_EQ(counter_value(last, "rt_cache_hits_total"),
             first.cache_hits + second.cache_hits);

@@ -388,7 +388,7 @@ TEST(CompiledModelPrecision, StepBatchBitIdenticalToInferOnPackedModel) {
   options.format = SparseFormat::kBspc;
   options.precision = WeightPrecision::kInt8PerRow;
   ThreadPool pool(2);
-  const CompiledSpeechModel compiled(*f.model, f.masks, options, &pool);
+  const CompiledSpeechModel compiled(*f.model, f.masks, options);
 
   constexpr std::size_t kStreams = 3;
   constexpr std::size_t kFrames = 5;
@@ -405,6 +405,7 @@ TEST(CompiledModelPrecision, StepBatchBitIdenticalToInferOnPackedModel) {
   for (StreamState& s : states) state_ptrs.push_back(&s);
   Matrix step_features(kStreams, 39);
   Matrix step_logits(kStreams, compiled.config().num_classes);
+  CompiledSpeechModel::Panels panels;
   std::vector<Matrix> streamed(
       kStreams, Matrix(kFrames, compiled.config().num_classes));
   for (std::size_t t = 0; t < kFrames; ++t) {
@@ -412,14 +413,16 @@ TEST(CompiledModelPrecision, StepBatchBitIdenticalToInferOnPackedModel) {
       std::copy(utterances[s].row(t).begin(), utterances[s].row(t).end(),
                 step_features.row(s).begin());
     }
-    compiled.step_batch(step_features, state_ptrs, step_logits);
+    compiled.step_batch(step_features, state_ptrs, step_logits, panels,
+                        &pool);
     for (std::size_t s = 0; s < kStreams; ++s) {
       std::copy(step_logits.row(s).begin(), step_logits.row(s).end(),
                 streamed[s].row(t).begin());
     }
   }
   for (std::size_t s = 0; s < kStreams; ++s) {
-    EXPECT_EQ(streamed[s], compiled.infer(utterances[s])) << "stream " << s;
+    EXPECT_EQ(streamed[s], compiled.infer(utterances[s], &pool))
+        << "stream " << s;
   }
 }
 

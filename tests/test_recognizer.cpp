@@ -273,7 +273,7 @@ Deployment make_local(const ServeFixture& f,
                       const runtime::EngineConfig& engine = {}) {
   Deployment d;
   d.compiled = std::make_unique<CompiledSpeechModel>(*f.model, f.masks,
-                                                     f.options, nullptr);
+                                                     f.options);
   d.recognizer = std::make_unique<LocalRecognizer>(*d.compiled, engine);
   return d;
 }
@@ -632,6 +632,17 @@ TEST_P(RecognizerConformance, WaitForEventsReflectsPendingEvents) {
   // Drained again: back to timing out.
   EXPECT_FALSE(recognizer.wait_for_events(std::chrono::microseconds(1000)));
   EXPECT_TRUE(recognizer.close_stream(h));
+}
+
+TEST_P(RecognizerConformance, WeightBytesCountTheSharedModelOnce) {
+  // Every shard serves the one compiled model, so the fleet's resident
+  // weights are a single LocalRecognizer's, however many shards run.
+  const ServeFixture f = make_fixture(16, 90);
+  const Deployment local = make_local(f);
+  const Deployment d = make_param_deployment(f, GetParam());
+  EXPECT_GT(d.recognizer->stats().weight_bytes, 0U);
+  EXPECT_EQ(d.recognizer->stats().weight_bytes,
+            local.recognizer->stats().weight_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(LocalAndSharded, RecognizerConformance,

@@ -113,7 +113,7 @@ TestDeployment make_deployment(std::size_t hidden, std::size_t threads,
   options.threads = threads;
   if (threads > 1) d.pool = std::make_unique<ThreadPool>(threads);
   d.compiled = std::make_unique<CompiledSpeechModel>(*d.model, masks,
-                                                     options, d.pool.get());
+                                                     options);
   return d;
 }
 
@@ -249,10 +249,11 @@ TEST(StreamingSession, ChunkedLogitsMatchWholeUtteranceInfer) {
 
   for (const std::size_t threads : {1UL, 4UL}) {
     TestDeployment d = make_deployment(32, threads, 100 + threads);
-    const Matrix reference = d.compiled->infer(features);
+    const Matrix reference = d.compiled->infer(features, d.pool.get());
 
     EngineConfig config;
     config.mfcc = mfcc;
+    config.pool = d.pool.get();
     InferenceEngine engine(*d.compiled, config);
     StreamingSession& session = engine.create_session();
     for (std::size_t pos = 0; pos < wave.size(); pos += 1600) {  // 100 ms
@@ -338,6 +339,22 @@ TEST(InferenceEngine, MigratedSessionKeepsItsFrontEndAlive) {
   expect_batch_rows(frames, MfccExtractor(mfcc).extract(wave));
 }
 
+TEST(InferenceEngine, AdoptRejectsASessionOfAnotherModel) {
+  // A session keeps the compiled model it was created on, so only an
+  // engine serving that very model may adopt it — even an identical
+  // compile of the same weights is another model.
+  TestDeployment a = make_deployment(16, 1, 66);
+  TestDeployment b = make_deployment(16, 1, 66);
+  EngineConfig config;
+  config.mfcc = streaming_mfcc_config();
+  InferenceEngine source(*a.compiled, config);
+  InferenceEngine target(*b.compiled, config);
+  StreamingSession& session = source.create_session();
+  EXPECT_THROW((void)target.adopt_session(source.release_session(&session)),
+               std::invalid_argument);
+  EXPECT_EQ(target.session_count(), 0U);
+}
+
 // ------------------------------------------------- batched multi-stream
 TEST(InferenceEngine, BatchedSessionsMatchIndependentRuns) {
   constexpr std::size_t kStreams = 5;
@@ -349,12 +366,13 @@ TEST(InferenceEngine, BatchedSessionsMatchIndependentRuns) {
   for (std::size_t s = 0; s < kStreams; ++s) {
     // Different lengths so streams finish at different times.
     waves.push_back(random_waveform(8000 + 1234 * s, 200 + s));
-    references.push_back(
-        d.compiled->infer(MfccExtractor(mfcc).extract(waves.back())));
+    references.push_back(d.compiled->infer(
+        MfccExtractor(mfcc).extract(waves.back()), d.pool.get()));
   }
 
   EngineConfig config;
   config.mfcc = mfcc;
+  config.pool = d.pool.get();
   InferenceEngine engine(*d.compiled, config);
   for (std::size_t s = 0; s < kStreams; ++s) engine.create_session();
 
@@ -468,13 +486,14 @@ TEST(CompiledModel, StepBatchMatchesPerStreamInfer) {
   for (StreamState& s : states) state_ptrs.push_back(&s);
   Matrix frame(kBatch, input_dim);
   Matrix logits(kBatch, classes);
+  CompiledSpeechModel::Panels panels;
   std::vector<Matrix> batched(kBatch, Matrix(kFrames, classes));
   for (std::size_t t = 0; t < kFrames; ++t) {
     for (std::size_t b = 0; b < kBatch; ++b) {
       std::copy(utterances[b].row(t).begin(), utterances[b].row(t).end(),
                 frame.row(b).begin());
     }
-    d.compiled->step_batch(frame, state_ptrs, logits);
+    d.compiled->step_batch(frame, state_ptrs, logits, panels, d.pool.get());
     for (std::size_t b = 0; b < kBatch; ++b) {
       std::copy(logits.row(b).begin(), logits.row(b).end(),
                 batched[b].row(t).begin());
@@ -482,13 +501,14 @@ TEST(CompiledModel, StepBatchMatchesPerStreamInfer) {
   }
 
   for (std::size_t b = 0; b < kBatch; ++b) {
-    EXPECT_EQ(batched[b], d.compiled->infer(utterances[b])) << "b=" << b;
+    EXPECT_EQ(batched[b], d.compiled->infer(utterances[b], d.pool.get()))
+        << "b=" << b;
   }
 }
 
 TEST(CompiledModel, BatchedRunRecurrenceExecutes) {
   TestDeployment d = make_deployment(16, 2, 31);
-  EXPECT_NO_THROW(d.compiled->run_recurrence(5, 4));
+  EXPECT_NO_THROW(d.compiled->run_recurrence(5, 4, d.pool.get()));
   EXPECT_THROW(d.compiled->run_recurrence(5, 0), std::invalid_argument);
 }
 

@@ -73,7 +73,7 @@ TestDeployment make_deployment(std::size_t hidden, std::uint64_t seed) {
   }
   d.options.format = SparseFormat::kBspc;
   d.compiled = std::make_unique<CompiledSpeechModel>(*d.model, d.masks,
-                                                     d.options, nullptr);
+                                                     d.options);
   return d;
 }
 

@@ -81,7 +81,7 @@ ServeFixture make_fixture(std::size_t hidden, std::uint64_t seed) {
 /// of the same model (the arithmetic every shard must reproduce).
 Matrix reference_logits(const ServeFixture& f,
                         const std::vector<float>& wave) {
-  const CompiledSpeechModel compiled(*f.model, f.masks, f.options, nullptr);
+  const CompiledSpeechModel compiled(*f.model, f.masks, f.options);
   return compiled.infer(
       speech::MfccExtractor(streaming_mfcc_config()).extract(wave));
 }
@@ -559,19 +559,44 @@ TEST(ShardedEngine, CloseReleasesSessionsAndLateCommandsAreDropped) {
   EXPECT_EQ(engine.stream_logits(fresh), before_close);  // same audio
 }
 
-TEST(ShardedEngine, RecordsCoreRangeHintsWhenPinning) {
-  const ServeFixture f = make_fixture(16, 4);
+TEST(ShardedEngine, ShardsShareOneCompiledModel) {
+  // One compile serves every shard: each shard's engine reads the same
+  // model through its own pool and panels, concurrently once started.
+  constexpr std::size_t kStreams = 4;
+  ServeFixture f = make_fixture(16, 4);
+  f.options.min_nnz_for_threading = 0;  // the pooled matvecs really split
   ShardConfig config;
   config.shards = 2;
   config.threads_per_shard = 2;
   config.pin_cores = true;
+  config.policy = RoutePolicy::kRoundRobin;
+  config.engine.mfcc = streaming_mfcc_config();
   ShardedEngine engine(*f.model, f.masks, f.options, config);
-  for (std::size_t s = 0; s < 2; ++s) {
-    const CompilerOptions& options = engine.shard_model(s).options();
-    ASSERT_TRUE(options.core_range.has_value());
-    EXPECT_EQ(options.core_range->begin, s * 2);
-    EXPECT_EQ(options.core_range->count, 2U);
-    EXPECT_EQ(options.threads, 2U);
+  const CompiledSpeechModel& model = engine.shard_model(0);
+  EXPECT_EQ(&model, &engine.shard_model(1));
+  EXPECT_EQ(model.options().threads, config.threads_per_shard);
+
+  std::vector<std::vector<float>> waves;
+  std::vector<StreamHandle> handles;
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    waves.push_back(random_waveform(5000 + 900 * s, 610 + s));
+    handles.push_back(engine.open_stream(logits_only_stream(s)));
+  }
+  engine.start();
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    while (!engine.submit_audio(handles[s], waves[s])) {
+      std::this_thread::yield();
+    }
+    while (!engine.finish_stream(handles[s])) std::this_thread::yield();
+  }
+  engine.stop();
+
+  const speech::MfccExtractor extractor(config.engine.mfcc);
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    ASSERT_TRUE(engine.stream_done(handles[s])) << "stream " << s;
+    EXPECT_EQ(engine.stream_logits(handles[s]),
+              model.infer(extractor.extract(waves[s])))
+        << "stream " << s;  // bitwise
   }
 }
 
